@@ -31,7 +31,11 @@ the HR comparison row, and view-only scale rows ending satisfied), include
 the ``revision`` section (view-backed belief revision against the naive
 retract-until-consistent baseline: per-step result agreement verified, the
 >= 5x speedup holding on the HR comparison row, and operator-only scale
-rows with every retraction as expected), and
+rows with every retraction as expected), include the ``commit_scaling``
+section (one fixed 10-fact HR commit at 25k, 100k and 200k facts: the
+200k-over-25k median commit time at most 2x, and the deterministic
+maintenance work per commit — one maintenance pass, no full planner
+refresh — identical at every size), record the host's ``cpu_count``, and
 have been timed best-of-3 or better (``repeats``) — a PR that adds a mode,
 strategy or storage backend without re-running ``run_bench.py`` fails
 here.
@@ -108,6 +112,12 @@ REVISION_SECONDS_CAP = 5.0
 NOOP_OVERHEAD_CAP_PCT = 5.0
 #: every recorded ``seconds`` must be the best of at least this many runs
 MIN_REPEATS = 3
+#: the commit_scaling rows must reach these database sizes (facts) ...
+COMMIT_SCALING_SMALLEST_FACTS = 25_000
+COMMIT_SCALING_LARGEST_FACTS = 200_000
+#: ... and the largest row's median commit may take at most this many times
+#: the smallest row's: a fixed delta must cost the same at any size
+COMMIT_SCALING_RATIO_CAP = 2.0
 
 
 def load_report(path=BENCH_PATH):
@@ -326,6 +336,9 @@ def structure_problems(report):
                     problems.append(
                         f"revision scale row {row.get('params')} lacks {field}"
                     )
+    problems += _commit_scaling_problems(report)
+    if report.get("cpu_count") is None:
+        problems.append("report does not record the host's cpu_count")
     observability = report.get("observability")
     if observability is None:
         problems.append(
@@ -396,6 +409,52 @@ def structure_problems(report):
             for field in ("seconds_unpruned", "seconds_pruned", "analysis_seconds"):
                 if pruning.get(field) is None:
                     problems.append(f"analysis pruning cell lacks {field}")
+    return problems
+
+
+def _commit_scaling_problems(report):
+    """Staleness/guard problems of the ``commit_scaling`` section: rows at
+    the required sizes, the largest-over-smallest median commit time within
+    ``COMMIT_SCALING_RATIO_CAP``, and the per-commit work counters — one
+    maintenance pass, no full planner refresh — identical at every size."""
+    scaling = report.get("commit_scaling")
+    if scaling is None:
+        return ["missing commit_scaling section — re-run benchmarks/run_bench.py"]
+    rows = sorted(scaling.get("rows") or [], key=lambda r: r.get("facts", 0))
+    if len(rows) < 3:
+        return [f"commit_scaling section has {len(rows)} rows; it needs 3 sizes"]
+    problems = []
+    smallest, largest = rows[0], rows[-1]
+    if smallest.get("facts", 0) < COMMIT_SCALING_SMALLEST_FACTS or (
+        largest.get("facts", 0) < COMMIT_SCALING_LARGEST_FACTS
+    ):
+        problems.append(
+            f"commit_scaling rows span {smallest.get('facts')}..{largest.get('facts')} "
+            f"facts; they must reach {COMMIT_SCALING_SMALLEST_FACTS} and "
+            f"{COMMIT_SCALING_LARGEST_FACTS}"
+        )
+    ratio = largest.get("commit_p50_seconds", 0) / max(
+        smallest.get("commit_p50_seconds", 0), 1e-9
+    )
+    if ratio > COMMIT_SCALING_RATIO_CAP:
+        problems.append(
+            f"commit_scaling: a fixed 10-fact commit at {largest.get('facts')} "
+            f"facts takes {ratio:.2f}x the time at {smallest.get('facts')} "
+            f"(cap {COMMIT_SCALING_RATIO_CAP}x) — commits are not O(delta)"
+        )
+    work = smallest.get("work_per_commit") or {}
+    if work.get("applies") != 1 or work.get("planner_refreshes") != 0:
+        problems.append(
+            f"commit_scaling: a commit must cost one maintenance pass and no "
+            f"full planner refresh, got {work}"
+        )
+    for row in rows[1:]:
+        if row.get("work_per_commit") != work:
+            problems.append(
+                f"commit_scaling: work per commit at {row.get('facts')} facts "
+                f"({row.get('work_per_commit')}) differs from {work} at "
+                f"{smallest.get('facts')} facts"
+            )
     return problems
 
 

@@ -24,7 +24,10 @@ revision streams through the belief-change layer (the ``revision`` section
 — ``BeliefRevisor`` planning repairs off O(delta) view peeks against the
 naive retract-until-consistent baseline that recomputes from scratch per
 probe, results verified identical per step, plus operator-only scale rows
-the baseline cannot reach).  Every
+the baseline cannot reach), and commits one fixed 10-fact HR transaction
+at 25k, 100k and 200k facts (the ``commit_scaling`` section — per-commit
+latency plus the maintenance work counters per commit, which must not
+depend on the database size).  Every
 timed cell is the best of ``--repeats`` runs (default 3) and carries a
 tracemalloc peak-memory figure measured in a separate traced pass.  The
 JSON it writes is the perf trajectory future PRs diff against
@@ -66,6 +69,7 @@ show); skipped cells are recorded as ``null``.
 import argparse
 import gc
 import json
+import os
 import pathlib
 import platform
 import subprocess
@@ -1148,6 +1152,93 @@ def run_observability_bench(params=None, repeats=3):
     return section
 
 
+#: the commit-scaling section: HR employees per row (5 facts each, plus 10
+#: departments) — 25k, 100k and 200k facts
+COMMIT_SCALING_GRID = [5000, 20000, 40000]
+QUICK_COMMIT_SCALING_GRID = [1000, 4000, 8000]
+#: commits timed per row (alternately out and back in, so every row commits
+#: the same batches against the same shape of state)
+COMMIT_SCALING_COMMITS = 40
+
+
+def run_commit_scaling_bench(grid=None, commits=COMMIT_SCALING_COMMITS):
+    """Commit one fixed 10-fact transaction — employee 3's five facts out,
+    a fresh hire's five facts in, and back — against the scaled HR workload
+    under ``constraint_checking="incremental"``, at every size of *grid*.
+
+    Each row records the median and mean commit time and the *work per
+    commit*: the violation view's maintenance counter deltas (applies,
+    rounds, delta passes, facts changed) plus full planner-statistics
+    refreshes, summed over all commits and divided by their number.  Those
+    counters are deterministic, so an O(delta) commit path shows them
+    identical at every size; ``check_bench.py`` requires that, and bounds
+    the largest-over-smallest median commit time.
+    """
+    from repro.db.database import EpistemicDatabase
+    from repro.workloads.constraints import hr_constraints, hr_facts, hr_group
+
+    rows = []
+    for employees in grid or COMMIT_SCALING_GRID:
+        database = EpistemicDatabase(
+            hr_facts(employees, departments=10), constraints=hr_constraints(),
+            constraint_checking="incremental",
+        )
+        materialized = database.violation_view().materialized
+        departing = hr_group(3)
+        hire = hr_group(10 * employees)
+        refreshes = materialized.planner_statistics.refreshes
+        before = materialized.metrics()
+        seconds = []
+        for index in range(commits):
+            leaving, joining = (departing, hire) if index % 2 == 0 else (hire, departing)
+            transaction = database.transaction()
+            for sentence in leaving:
+                transaction.retract(sentence)
+            for sentence in joining:
+                transaction.tell(sentence)
+            gc.collect()
+            start = time.perf_counter()
+            transaction.commit()
+            seconds.append(time.perf_counter() - start)
+        after = materialized.metrics()
+        work = {
+            name.split(".", 1)[1]: (after[name] - before[name]) / commits
+            for name in sorted(after)
+        }
+        work["planner_refreshes"] = (
+            materialized.planner_statistics.refreshes - refreshes
+        ) / commits
+        ordered = sorted(seconds)
+        row = {
+            "workload": "hr",
+            "employees": employees,
+            "facts": len(database),
+            "batch_facts": len(departing) + len(hire),
+            "commits": commits,
+            "commit_p50_seconds": round(ordered[len(ordered) // 2], 6),
+            "commit_mean_seconds": round(sum(seconds) / len(seconds), 6),
+            "work_per_commit": work,
+        }
+        rows.append(row)
+        print(
+            f"commit_scaling {row['facts']} facts: commit p50 "
+            f"{row['commit_p50_seconds'] * 1000:.2f} ms, mean "
+            f"{row['commit_mean_seconds'] * 1000:.2f} ms, work/commit {work}"
+        )
+        del database, materialized
+        gc.collect()
+    smallest, largest = rows[0], rows[-1]
+    return {
+        "rows": rows,
+        "ratio_largest_vs_smallest": round(
+            largest["commit_p50_seconds"] / max(smallest["commit_p50_seconds"], 1e-9), 3
+        ),
+        "work_identical": all(
+            row["work_per_commit"] == smallest["work_per_commit"] for row in rows
+        ),
+    }
+
+
 def run_experiments():
     """Run the E7/E9 pytest benchmarks and record their outcome."""
     results = {}
@@ -1216,6 +1307,7 @@ def main(argv=None):
     parser.add_argument("--no-observability", action="store_true",
                         help="skip the tracing-overhead (observability) "
                              "section")
+
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
@@ -1229,6 +1321,7 @@ def main(argv=None):
     report = {
         "generated_by": "benchmarks/run_bench.py",
         "python": platform.python_version(),
+        "cpu_count": os.cpu_count(),
         "repeats": args.repeats,
         "rows": rows,
     }
@@ -1283,6 +1376,9 @@ def main(argv=None):
             QUICK_OBSERVABILITY_PARAMS if args.quick else OBSERVABILITY_PARAMS,
             repeats=args.repeats,
         )
+    report["commit_scaling"] = run_commit_scaling_bench(
+        QUICK_COMMIT_SCALING_GRID if args.quick else COMMIT_SCALING_GRID
+    )
     if args.experiments:
         report["experiments"] = run_experiments()
 
@@ -1408,6 +1504,17 @@ def main(argv=None):
                 f"--check failed: no-op tracing overhead "
                 f"{obs['noop_overhead_pct']}% > 5%"
             )
+    if "commit_scaling" in report:
+        scaling = report["commit_scaling"]
+        smallest, largest = scaling["rows"][0], scaling["rows"][-1]
+        print(
+            f"commit_scaling headline: a fixed 10-fact commit takes "
+            f"{largest['commit_p50_seconds'] * 1000:.2f} ms at "
+            f"{largest['facts']} facts vs "
+            f"{smallest['commit_p50_seconds'] * 1000:.2f} ms at "
+            f"{smallest['facts']} ({scaling['ratio_largest_vs_smallest']}x); "
+            f"work per commit identical: {scaling['work_identical']}"
+        )
     if "analysis" in report and report["analysis"].get("lint"):
         largest = max(report["analysis"]["lint"], key=lambda r: r["facts"])
         print(

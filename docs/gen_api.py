@@ -41,6 +41,8 @@ provenance, [architecture.md](architecture.md) for the module map.
 
 #: (module path, section title, [exported names])
 SECTIONS = [
+    ("repro.store", "Sentence and fact store — `repro.store`",
+     ["OrderedMultiset", "updated"]),
     ("repro.datalog.program", "Programs — `repro.datalog.program`",
      ["DatalogProgram", "DatalogRule", "DatalogLiteral", "DatalogFact"]),
     ("repro.datalog.analyze", "Static analysis — `repro.datalog.analyze`",

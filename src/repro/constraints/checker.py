@@ -26,6 +26,7 @@ from repro.logic.transform import to_admissible_form
 from repro.evaluator.demo import DemoEvaluator
 from repro.semantics.config import DEFAULT_CONFIG
 from repro.semantics.reduction import EpistemicReducer
+from repro.store import updated
 
 
 @dataclass(frozen=True)
@@ -135,33 +136,26 @@ class IntegrityChecker:
         constraints that mention a predicate touched by the update.
 
         Without a *view* this is the classical relevance filter of Nicolas
-        (1982) over a from-scratch re-check; it is sound for the constraint
-        forms produced by this package because a constraint whose predicates
-        are untouched by the update cannot change truth value — the models of
-        the unchanged predicates' atoms are unchanged.
+        (1982) over a from-scratch re-check of the updated theory (each
+        retraction removes one occurrence, as a commit does); it is sound
+        for the constraint forms produced by this package because a
+        constraint whose predicates are untouched by the update cannot
+        change truth value — the models of the unchanged predicates' atoms
+        are unchanged.  Returns ``(report, updated_theory)``.
 
         With a *view* (a :class:`~repro.constraints.views.ViolationView`
         maintained over the same database) the re-check becomes an O(delta)
-        read: the view previews the batch through its materialized violation
-        rules and only the constraints outside the compilable fragment are
-        re-evaluated from scratch — the returned report's ``fallbacks``
-        names them and why.
+        read: the view applies the batch through its materialized violation
+        rules and *holds* it (:meth:`~repro.constraints.views.ViolationView.hold_report`)
+        — the commit that follows confirms the held batch instead of
+        maintaining it again, a rejected batch is rolled back at once — and
+        only the constraints outside the compilable fragment are
+        re-evaluated from scratch; the report's ``fallbacks`` names them and
+        why.  No updated theory is built: returns ``(report, None)``.
         """
-        # Mirror Transaction.commit: each staged retraction removes one
-        # occurrence from the sentence list, so a duplicated sentence stays
-        # in the previewed theory until its last occurrence is retracted.
-        pending = {}
-        for sentence in removed:
-            pending[sentence] = pending.get(sentence, 0) + 1
-        updated_theory = []
-        for sentence in theory:
-            if pending.get(sentence, 0) > 0:
-                pending[sentence] -= 1
-                continue
-            updated_theory.append(sentence)
-        updated_theory += list(added)
         if view is not None:
-            return view.preview_report(added, removed), updated_theory
+            return view.hold_report(added, removed), None
+        updated_theory = updated(theory, added, removed)
         touched = set()
         for sentence in list(added) + list(removed):
             touched |= {name for name, _ in predicates_of(sentence)}

@@ -11,9 +11,10 @@ becomes a read:
 
 * :meth:`check` probes the maintained violation buckets — O(touched
   buckets), no evaluation;
-* :meth:`preview_report` answers "would this batch violate anything?" at
-  commit time as a side-effect-free O(delta) peek through the incremental
-  maintenance machinery;
+* :meth:`hold_report` answers "would this batch violate anything?" at
+  commit time in one O(delta) maintenance pass and keeps the batch held
+  for the commit to confirm; :meth:`preview_report` is its side-effect-free
+  form (hold, read, roll back);
 * :meth:`add_delta_listener` streams *net violation deltas* (constraint id →
   witness tuples appearing/disappearing) to subscribers —
   :class:`~repro.constraints.triggers.TriggerManager` fires off these instead
@@ -46,7 +47,7 @@ from repro.constraints.compile import (
 )
 from repro.datalog.incremental import MaterializedModel
 from repro.datalog.program import DatalogProgram
-from repro.db.view import _ground_atoms, _occurrence_counts
+from repro.db.view import _net_edb_change, _staged_edb_change
 from repro.logic.substitution import substitute
 from repro.obs.tracing import NOOP_TRACER
 from repro.logic.syntax import (
@@ -64,6 +65,7 @@ from repro.logic.syntax import (
 )
 from repro.logic.terms import Parameter, Variable
 from repro.logic.transform import to_admissible_form
+from repro.store import updated
 
 
 def _is_ground_atom(sentence):
@@ -189,15 +191,12 @@ class ViolationView:
         for compiled in self._compiled_set.compiled:
             program.declare_output(compiled.predicate, len(compiled.witnesses))
         self._nonatomic = {}
-        self._occurrences = {}
-        for sentence in database.sentences():
+        store = database.store
+        for sentence in store.distinct():
             if _is_ground_atom(sentence):
-                count = self._occurrences.get(sentence, 0)
-                self._occurrences[sentence] = count + 1
-                if count == 0:
-                    program.add_fact(sentence)
+                program.add_fact(sentence)
             else:
-                self._count_nonatomic(sentence, +1)
+                self._count_nonatomic(sentence, store.count(sentence))
         self._materialized = MaterializedModel(
             program, strategy=strategy, shards=shards, planner=planner, storage=storage
         )
@@ -244,10 +243,11 @@ class ViolationView:
         :class:`~repro.constraints.checker.ConstraintReport` whose
         ``fallbacks`` records every constraint that was not answered by the
         view and why."""
+        self._materialized.rollback()
         tracer = getattr(self._database, "tracer", NOOP_TRACER)
         with tracer.span("violations.check"):
             return self._report(
-                lambda compiled: self._read_witnesses(self._materialized, compiled),
+                self._witnesses_of,
                 self._database.sentences,
                 self._runtime_nonatomic(),
                 with_witnesses=with_witnesses,
@@ -257,24 +257,28 @@ class ViolationView:
     def preview_report(self, additions=(), retractions=(), with_witnesses=True,
                        witness_limit=None):
         """The report :meth:`check` would produce if the batch were applied —
-        computed as a side-effect-free O(delta) peek: the violation buckets
-        are probed *inside* the maintenance round trip (via the ``reader``
-        hook of :meth:`~repro.datalog.incremental.MaterializedModel.peek`),
-        so neither the maintained state nor the engine cache changes and no
+        side-effect-free: :meth:`hold_report`, then an exact rollback, so
+        neither the maintained state nor the engine cache changes and no
         full model is ever built."""
+        try:
+            return self.hold_report(
+                additions, retractions, with_witnesses=with_witnesses,
+                witness_limit=witness_limit,
+            )
+        finally:
+            self._materialized.rollback()
+
+    def hold_report(self, additions=(), retractions=(), with_witnesses=True,
+                    witness_limit=None):
+        """The report :meth:`check` would produce if the batch were applied,
+        read in one O(delta) maintenance pass that stays *held* when the
+        report is satisfied: the commit's update notification then confirms
+        it at no further cost.  A violated report is rolled back at once;
+        any other call reaching the view first rolls a stale hold back."""
         additions = list(additions)
         retractions = list(retractions)
-        # Mirror Transaction.commit + _on_update exactly: each retraction
-        # removes one occurrence from the sentence list, and the EDB fact
-        # only disappears once no occurrence is left.  The occurrence counts
-        # are maintained incrementally, so this stays O(delta).
-        staged = _occurrence_counts(retractions)
-        deletions = [
-            atom
-            for atom, count in staged.items()
-            if self._occurrences.get(atom, 0) <= count
-        ]
-        insertions = _ground_atoms(additions)
+        store = self._database.store
+        insertions, deletions = _staged_edb_change(store, additions, retractions)
 
         nonatomic = dict(self._nonatomic)
         for sentence in retractions:
@@ -288,57 +292,38 @@ class ViolationView:
         nonatomic_names = {name for name, count in nonatomic.items() if count > 0}
 
         def fallback_theory():
-            # Only materialized when a fallback constraint actually needs a
-            # from-scratch check; mirrors the commit's retraction discipline —
-            # each staged retraction removes ONE occurrence from the sentence
-            # list, so a duplicated sentence survives until its last
-            # occurrence is retracted (set-based removal would drop every
-            # occurrence and could judge a still-violating post-state
-            # satisfied — the differential harness caught exactly that).
-            pending = {}
-            for sentence in retractions:
-                pending[sentence] = pending.get(sentence, 0) + 1
-            theory = []
-            for sentence in self._database.sentences():
-                if pending.get(sentence, 0) > 0:
-                    pending[sentence] -= 1
-                    continue
-                theory.append(sentence)
-            return theory + additions
+            # Only built when a fallback constraint needs it; one occurrence
+            # per retraction (set-based removal could judge a still-violating
+            # post-state satisfied — the differential harness caught that).
+            return updated(store, additions, retractions)
 
         def read(compiled_constraints):
-            def reader(model):
-                return {
-                    compiled.constraint_id: self._read_witnesses(model, compiled)
-                    for compiled in compiled_constraints
-                }
+            self._materialized.hold(insertions, deletions)
+            return self._witnesses_of(compiled_constraints)
 
-            return self._materialized.peek(
-                insertions=insertions, deletions=deletions, reader=reader
-            )
-
+        self._materialized.rollback()
         tracer = getattr(self._database, "tracer", NOOP_TRACER)
         with tracer.span(
             "violations.preview",
             additions=len(additions),
             retractions=len(retractions),
         ):
-            return self._report(
+            report = self._report(
                 read,
                 fallback_theory,
                 nonatomic_names,
                 with_witnesses=with_witnesses,
                 witness_limit=witness_limit,
-                batched=True,
             )
+        if not report.satisfied:
+            self._materialized.rollback()
+        return report
 
     def violations(self):
         """The current violations as ``{constraint_id: (witness, ...)}`` —
         compiled constraints only, read straight off the maintained index."""
-        return {
-            compiled.constraint_id: self._read_witnesses(self._materialized, compiled)
-            for compiled in self._compiled_set.compiled
-        }
+        self._materialized.rollback()
+        return self._witnesses_of(self._compiled_set.compiled)
 
     def retraction_candidates(self, report, protected=()):
         """Map each violation of *report* to the database sentences it rests
@@ -357,7 +342,7 @@ class ViolationView:
                         continue
                     if pattern in protected_set or pattern in seen:
                         continue
-                    if self._occurrences.get(pattern, 0) > 0:
+                    if pattern in self._database.store:
                         seen.add(pattern)
                         candidates.append(pattern)
         return tuple(candidates)
@@ -389,26 +374,33 @@ class ViolationView:
     def _runtime_nonatomic(self):
         return {name for name, count in self._nonatomic.items() if count > 0}
 
-    def _read_witnesses(self, model, compiled):
-        """All witness tuples of one compiled constraint, sorted, read from
-        the (possibly peeked) maintained index."""
+    def _witnesses_of(self, compiled_constraints):
+        """``{constraint id: sorted witness tuples}`` read off the maintained
+        (possibly held) index."""
+        return {
+            compiled.constraint_id: self._read_witnesses(compiled)
+            for compiled in compiled_constraints
+        }
+
+    def _read_witnesses(self, compiled):
         goal = Atom(
             compiled.predicate,
             tuple(Variable(f"w{i}") for i in range(len(compiled.witnesses))),
         )
-        answers = model.query(goal, mode="materialized")
+        answers = self._materialized.query(goal, mode="materialized")
         witnesses = {
             tuple(binding[variable] for variable in goal.args) for binding in answers
         }
         return tuple(sorted(witnesses, key=lambda w: tuple(p.name for p in w)))
 
     def _report(self, read, fallback_theory, nonatomic_names, with_witnesses=True,
-                witness_limit=None, batched=False):
+                witness_limit=None):
         """Assemble a :class:`ConstraintReport`: compiled constraints whose
         predicates stay inside the atomic reading come from the view (via
-        *read*), everything else from the from-scratch checker.
-        *fallback_theory* is a thunk, only called when a fallback constraint
-        actually needs the sentence list."""
+        *read*, which maps a list of them to their witnesses), everything
+        else from the from-scratch checker.  *fallback_theory* is a thunk,
+        only called when a fallback constraint actually needs the sentence
+        list."""
         view_constraints, runtime_fallbacks = [], []
         for compiled in self._compiled_set.compiled:
             if compiled.edb_predicates & nonatomic_names:
@@ -428,13 +420,7 @@ class ViolationView:
             else:
                 view_constraints.append(compiled)
 
-        if batched:
-            view_witnesses = read(view_constraints) if view_constraints else {}
-        else:
-            view_witnesses = {
-                compiled.constraint_id: read(compiled)
-                for compiled in view_constraints
-            }
+        view_witnesses = read(view_constraints) if view_constraints else {}
 
         fallbacks = list(self._compiled_set.fallbacks) + runtime_fallbacks
         fallback_constraints = [fallback.constraint for fallback in fallbacks]
@@ -479,34 +465,31 @@ class ViolationView:
         )
 
     def _on_update(self, added, removed):
-        # A retraction only deletes the EDB fact once no occurrence of the
-        # sentence is left; an assertion only inserts on the first
-        # occurrence.  Counts are maintained here rather than recomputed, so
-        # the whole notification is O(delta).
-        deletions = []
+        # The store is already updated: an EDB fact is inserted with its
+        # first occurrence and deleted with its last (O(delta) reads).
         for sentence in removed:
             if not _is_ground_atom(sentence):
                 self._count_nonatomic(sentence, -1)
-                continue
-            count = self._occurrences.get(sentence, 0) - 1
-            if count <= 0:
-                self._occurrences.pop(sentence, None)
-                if count == 0:
-                    deletions.append(sentence)
-            else:
-                self._occurrences[sentence] = count
-        insertions = []
         for sentence in added:
             if not _is_ground_atom(sentence):
                 self._count_nonatomic(sentence, +1)
-                continue
-            count = self._occurrences.get(sentence, 0)
-            self._occurrences[sentence] = count + 1
-            if count == 0:
-                insertions.append(sentence)
-        if not insertions and not deletions:
-            return
-        result = self._materialized.apply(insertions, deletions)
+        insertions, deletions = _net_edb_change(self._database.store, added, removed)
+        materialized = self._materialized
+        held = materialized.held
+        tracer = getattr(self._database, "tracer", NOOP_TRACER)
+        if held is not None and (held.edb_added, held.edb_removed) == (
+            frozenset(insertions), frozenset(deletions)
+        ):
+            # The commit applied exactly the batch its check held.
+            with tracer.span("violations.confirm"):
+                result = materialized.confirm()
+        else:
+            if held is not None:
+                with tracer.span("violations.rollback"):
+                    materialized.rollback()
+            if not insertions and not deletions:
+                return
+            result = materialized.apply(insertions, deletions)
         if not self._delta_listeners:
             return
         added_deltas = self._violation_deltas(result.derived_added)

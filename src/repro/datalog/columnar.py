@@ -89,7 +89,9 @@ class ColumnarRelation:
         demand from the live rows (treat as read-only)."""
         buckets = self._buckets
         if buckets is None:
-            buckets = self._buckets = tuple({} for _ in range(self.arity))
+            # Built in a local and published once: a concurrent reader
+            # must never see (or iterate) a half-filled bucket map.
+            buckets = tuple({} for _ in range(self.arity))
             for row in self.rows:
                 for bucket, value in zip(buckets, row):
                     owners = bucket.get(value)
@@ -97,6 +99,7 @@ class ColumnarRelation:
                         bucket[value] = {row}
                     else:
                         owners.add(row)
+            self._buckets = buckets
         return buckets
 
     @property
@@ -572,6 +575,15 @@ class ColumnarFactIndex:
         """Just the bucket sizes of one argument position — no decoding
         needed, sizes are representation-independent."""
         return self._store.histogram_sizes(predicate, arity, position)
+
+    def bucket_size(self, predicate, arity, position, value):
+        """How many facts of ``predicate/arity`` carry the parameter *value*
+        at argument *position* (the FactIndex contract; one bucket probe)."""
+        relation = self._store.get((predicate, arity))
+        ident = self._interner.id_of(value)
+        if relation is None or ident is None:
+            return 0
+        return len(relation.buckets[position].get(ident, EMPTY))
 
     def selectivity(self, predicate, arity, positions):
         """The uniform-distribution selectivity estimate (numerically equal

@@ -47,9 +47,9 @@ programs it is the standard perfect model, which coincides with the
 completion/closed-world readings the paper discusses for "Prolog-like"
 databases.
 
-``least_model()`` is computed once and cached (keyed on the program's
-fact/rule content), so ``query()`` and ``holds()`` do not recompute the
-fixpoint on every call.  For update-heavy callers,
+``least_model()`` is computed once and cached (keyed on the fact store's
+edit version and the rule content), so ``query()`` and ``holds()`` do not
+recompute the fixpoint on every call.  For update-heavy callers,
 :class:`~repro.datalog.incremental.MaterializedModel` maintains the model
 under EDB insertions and deletions at delta cost and pushes it back into
 this cache via :meth:`DatalogEngine.install_model`.
@@ -731,9 +731,11 @@ class DatalogEngine:
         return derivation_tree(self._provenance, atom, known=model)
 
     def _program_key(self):
-        # Content-based key: catches in-place replacement of facts/rules,
-        # not just growth.  O(n) per call, but far cheaper than a fixpoint.
-        return (tuple(self.program.facts), tuple(self.program.rules))
+        # Facts are keyed on the fact store's identity and edit version
+        # (O(1)); rules on their content, since they are few and callers
+        # edit ``program.rules`` in place.
+        facts = self.program.facts
+        return (facts, facts.version, tuple(self.program.rules))
 
     def _stratum_rules(self, stratum):
         rules = self._effective_program().rules

@@ -35,19 +35,21 @@ increment passes evaluate in the new database and decrement passes in the
 old one.  A derivation whose status changed is then enumerated exactly once
 — at its first changed body position — which is what keeps the counts exact.
 
-``apply(insertions, deletions)`` also rewrites ``program.facts`` so the
-wrapped engine, the materialized index and the program never disagree, and
-installs the maintained model into the engine's cache so a subsequent
-``engine.least_model()`` is O(1).  :meth:`MaterializedModel.peek` answers
-"what would the model be if this batch were applied?" without leaving any
-trace — the safe way for transaction previews to look at pending state.
+``apply(insertions, deletions)`` also edits ``program.facts`` (an
+:class:`~repro.store.OrderedMultiset`: O(1) removal, an edit version that
+reveals outside edits) so the engine, the index and the program never
+disagree.  A batch can be *held* — applied, then kept with ``confirm()``
+at no further cost or undone exactly with ``rollback()`` — which lets a
+commit-time check's pass double as the commit's; :meth:`MaterializedModel.peek`
+is hold + read + rollback, leaving no trace.
 
 The maintenance joins are planned like the engine's: under the default
 ``planner="histogram"`` the per-batch passes (and the initial counting
 fixpoint) order their body literals greedily by observed bucket-size
-histograms (:class:`~repro.datalog.stats.JoinStatistics`, re-snapshotted
-per apply / per build round) instead of textual order; ``"uniform"`` keeps
-the unplanned ordering as an ablation baseline.  When the wrapped engine
+histograms (:class:`~repro.datalog.stats.JoinStatistics`, snapshotted per
+build round and adjusted after each batch from its net change) instead of
+textual order; ``"uniform"`` keeps the unplanned ordering as an ablation
+baseline.  When the wrapped engine
 uses ``strategy="parallel"``, the materialized state lives in a
 :class:`~repro.datalog.shard.ShardedFactIndex` with the engine's shard
 count, so counting updates, DRed overdeletion (``retract_all``) and
@@ -55,7 +57,7 @@ rederivation all apply shard-locally.
 """
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.datalog.engine import (
     PLANNERS,
@@ -112,7 +114,7 @@ class UpdateResult:
     derived_removed: frozenset
 
     def inverse(self):
-        """The EDB delta that undoes this update (used by ``peek``)."""
+        """The EDB delta that undoes this update (used by ``rollback``)."""
         return self.edb_removed, self.edb_added
 
 
@@ -147,10 +149,10 @@ class MaterializedModel:
     :meth:`apply`; everything else (``model()``, ``holds()``, ``query()``)
     reads the maintained state.
 
-    Rule changes are not maintained incrementally: if the program's rules are
-    mutated behind our back, the next access notices (content comparison, the
-    same discipline the engine's cache uses) and falls back to a full
-    rebuild.
+    Rule changes are not maintained incrementally: if the program's rules
+    or facts are mutated behind our back, the next access notices (a
+    changed rule tuple or fact-store version, the same keys the engine's
+    cache uses) and falls back to a full rebuild.
 
     ``strategy`` (plus ``shards`` when it is ``"parallel"``, plus
     ``storage``) configures the wrapped engine when one has to be built;
@@ -201,8 +203,10 @@ class MaterializedModel:
         self._components = None
         self._kind = None
         self._world = None
-        self._facts_key = None
+        self._facts_seen = None
         self._rules_key = None
+        self._held = None
+        self._removed_facts = {}
         self.refresh()
         # From now on the engine's least_model() pulls from the maintained
         # state on a cache miss instead of re-running its fixpoint.
@@ -287,28 +291,36 @@ class MaterializedModel:
         :class:`~repro.datalog.program.DatalogFact`).  Set semantics: a fact
         both deleted and inserted in the same batch stays present, inserting
         a present fact and deleting an absent one are no-ops.
-        ``program.facts`` is rewritten to match, so the program remains the
-        single source of truth.  Returns an :class:`UpdateResult`.
+        ``program.facts`` is edited to match in O(delta), so the program
+        remains the single source of truth.  A batch still held
+        (:meth:`hold`) is rolled back first.  Returns an
+        :class:`UpdateResult`.
         """
+        self.rollback()
         self._ensure_consistent()
         insertions = {_as_ground_atom(a) for a in insertions}
         deletions = {_as_ground_atom(a) for a in deletions}
         edb_removed = (deletions & self._edb) - insertions
         edb_added = insertions - self._edb
         self.statistics.applies += 1
+        self._removed_facts = {}
         if not edb_added and not edb_removed:
             return UpdateResult(frozenset(), frozenset(), frozenset(), frozenset())
 
-        # Keep the program in sync (set semantics over the fact list).
-        if edb_removed:
-            self.program.facts[:] = [
-                fact for fact in self.program.facts if fact.atom not in edb_removed
+        # Keep the program in sync, remembering where removed facts stood.
+        facts = self.program.facts
+        for atom in edb_removed:
+            fact = DatalogFact(atom)
+            self._removed_facts[atom] = [
+                facts.remove(fact) for _ in range(facts.count(fact))
             ]
         for atom in sorted(
             edb_added, key=lambda a: (a.predicate, tuple(p.name for p in a.args))
         ):
-            self.program.facts.append(DatalogFact(atom))
-        self._edb = (self._edb - edb_removed) | edb_added
+            facts.add(DatalogFact(atom))
+        self._facts_seen = (facts, facts.version)
+        self._edb -= edb_removed
+        self._edb |= edb_added
 
         with self.engine.tracer.span(
             "maintenance.batch",
@@ -320,7 +332,6 @@ class MaterializedModel:
                 facts_added=len(derived_added), facts_removed=len(derived_removed)
             )
 
-        self._facts_key = tuple(self.program.facts)
         self._world = None
         self.engine._model = None  # stale until model() reinstalls
         self.statistics.facts_added += len(derived_added)
@@ -332,49 +343,65 @@ class MaterializedModel:
             frozenset(derived_removed),
         )
 
-    def peek(self, insertions=(), deletions=(), reader=None):
-        """Return the :class:`~repro.semantics.worlds.World` the model would
-        have if the batch were applied — without changing anything.
-
-        Implemented as apply + exact inverse apply (counting is integer-exact
-        and DRed is set-exact, so the round trip restores the state
-        bit-for-bit); :attr:`statistics` is snapshotted around the round
-        trip, so not even the maintenance counters record the peek.  This is
-        the API transaction previews should use: a peek can never poison the
-        maintained state or the engine's cache.
-
-        Building a :class:`World` materializes the whole model — O(model)
-        even for a one-fact batch.  Callers that only need to probe a few
-        predicates (the violation view's commit-time preview) pass a
-        ``reader`` callable instead: it receives this model while the batch
-        is applied and its return value becomes the peek's result, keeping
-        the whole round trip O(delta + touched buckets).  The reader must
-        not mutate the model.
-        """
-        facts_before = list(self.program.facts)
-        saved_statistics = self.statistics
-        self.statistics = MaintenanceStatistics()
+    def hold(self, insertions=(), deletions=()):
+        """:meth:`apply` the batch and keep it *held*: :meth:`confirm` keeps
+        it for free, :meth:`rollback` (or any later apply, hold or peek)
+        undoes it exactly.  Returns its :class:`UpdateResult`."""
+        self.rollback()
+        statistics = replace(self.statistics)
         result = self.apply(insertions, deletions)
+        self._held = (result, statistics, self._removed_facts)
+        return result
+
+    @property
+    def held(self):
+        """The :class:`UpdateResult` of the held batch, or ``None``."""
+        return None if self._held is None else self._held[0]
+
+    def confirm(self):
+        """Keep the held batch as an ordinary applied one; returns its
+        :class:`UpdateResult` (``None`` when nothing was held)."""
+        held, self._held = self._held, None
+        return None if held is None else held[0]
+
+    def rollback(self):
+        """Undo the held batch, if any: the exact inverse batch (counting is
+        integer-exact, DRed set-exact), the removed facts put back at their
+        old positions in ``program.facts``, the counters restored."""
+        held, self._held = self._held, None
+        if held is None:
+            return
+        result, statistics, removed_facts = held
+        self.apply(*result.inverse())
+        facts = self.program.facts
+        for atom, sequences in removed_facts.items():
+            fact = DatalogFact(atom)
+            facts.remove(fact)  # the occurrence the inverse just appended
+            for sequence in sequences:
+                facts.restore(fact, sequence)
+        self._facts_seen = (facts, facts.version)
+        self.statistics = statistics
+
+    def peek(self, insertions=(), deletions=()):
+        """Return the :class:`~repro.semantics.worlds.World` the model would
+        have if the batch were applied — without changing anything
+        (:meth:`hold`, build the world, :meth:`rollback`).  The API
+        transaction previews should use: a peek can never poison the
+        maintained state or the engine's cache.  Building the world is
+        O(model); callers probing a few predicates hold, read and roll back
+        themselves (as the violation view does)."""
+        self.hold(insertions, deletions)
         try:
-            if reader is None:
-                outcome = World.from_fact_index(self._index)
-            else:
-                outcome = reader(self)
+            return World.from_fact_index(self._index)
         finally:
-            self.apply(*result.inverse())
-            # The inverse apply restores the fact *set*; restore the exact
-            # list order too so the peek is invisible to order-sensitive
-            # readers of program.facts.
-            self.program.facts[:] = facts_before
-            self._facts_key = tuple(facts_before)
-            self.statistics = saved_statistics
-        return outcome
+            self.rollback()
 
     def refresh(self):
         """Rebuild the materialized state from scratch (full fixpoint with
         derivation counting).  Called on construction and whenever the
         program was mutated other than through :meth:`apply`."""
         self.statistics.rebuilds += 1
+        self._held = None
         # Let the wrapped engine's static analyzer see the (possibly
         # mutated) program once per rebuild: diagnostics land on
         # ``engine.diagnostics`` and a strict engine rejects a defective
@@ -395,8 +422,14 @@ class MaterializedModel:
                 self._counts[atom if encode is None else encode(atom)] += 1
         for component in self._components:
             self._build_component(component)
+        if self._components and self.planner == "histogram":
+            # The last (empty) build round snapshotted the finished index.
+            self._maintenance_stats = self.planner_statistics
+        else:
+            self._refresh_planner_stats()
         self._world = None
-        self._facts_key = tuple(self.program.facts)
+        facts = self.program.facts
+        self._facts_seen = (facts, facts.version)
         self._rules_key = tuple(self.program.rules)
 
     def metrics(self):
@@ -452,8 +485,9 @@ class MaterializedModel:
         return self._interner.encode_atom(atom)
 
     def _refresh_planner_stats(self):
-        """Re-snapshot the maintenance planner's histograms from the live
-        index; the snapshot also invalidates the cached maintenance
+        """Re-snapshot the maintenance planner's histograms from the whole
+        live index (batches adjust the snapshot from their delta instead);
+        the snapshot also invalidates the cached maintenance
         schedules, which were ordered against the previous snapshot.  Under
         the uniform planner there is no snapshot and schedules never change
         shape, so both are left alone (a no-op returning ``None``)."""
@@ -494,11 +528,12 @@ class MaterializedModel:
 
     def _ensure_consistent(self):
         """Fall back to a full rebuild when the program was mutated outside
-        :meth:`apply` (same content-comparison discipline as the engine's
-        model cache)."""
+        :meth:`apply`: the fact store's version moved (O(1)) or the rules
+        changed (the same keys as the engine's model cache)."""
+        facts = self.program.facts
         if (
-            self._rules_key != tuple(self.program.rules)
-            or self._facts_key != tuple(self.program.facts)
+            self._facts_seen != (facts, facts.version)
+            or self._rules_key != tuple(self.program.rules)
         ):
             self.refresh()
 
@@ -565,10 +600,6 @@ class MaterializedModel:
         delta and contributes its own net changes for the components above.
         Returns the net (added, removed) over the whole model.
         """
-        # One histogram snapshot per batch: the maintenance passes of every
-        # component order their joins against the pre-batch bucket shapes
-        # (deltas are tiny next to the index, so mid-batch drift is noise).
-        self._refresh_planner_stats()
         acc_plus = FactIndex()
         acc_minus = FactIndex()
         idb = self._kind
@@ -606,6 +637,10 @@ class MaterializedModel:
                 )
             acc_plus.add_all(added)
             acc_minus.add_all(removed)
+        if self._maintenance_stats is not None:
+            # acc_plus / acc_minus are exactly the net index change.
+            self._maintenance_stats.adjust(self._index, acc_plus, acc_minus)
+            self._schedules = {}
         return set(acc_plus) - set(edb_added), set(acc_minus) - set(edb_removed)
 
     def _relevant(self, component, dplus, dminus):
@@ -826,8 +861,8 @@ class MaterializedModel:
         they keep their textual order.  Negative non-delta literals are
         deferred until the prefix binds their variables, exactly as in the
         engine's scheduler.  Schedules are cached per
-        ``(rule, delta_position)`` and invalidated with every histogram
-        re-snapshot.
+        ``(rule, delta_position)`` and invalidated whenever the histograms
+        change.
         """
         cached = self._schedules.get((rule, delta_position))
         if cached is not None:

@@ -229,6 +229,14 @@ class FactIndex:
             return []
         return [len(bucket) for bucket in positional[position].values()]
 
+    def bucket_size(self, predicate, arity, position, value):
+        """How many facts of ``predicate/arity`` carry *value* at argument
+        *position* — one :meth:`histogram` bucket, read in O(1)."""
+        positional = self._arguments.get((predicate, arity))
+        if positional is None:
+            return 0
+        return len(positional[position].get(value, EMPTY))
+
     def selectivity(self, predicate, arity, positions):
         """Estimate how many facts of ``predicate/arity`` survive binding
         the given argument *positions* (an iterable of position indexes).

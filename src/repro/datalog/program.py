@@ -21,6 +21,7 @@ from repro.exceptions import ReproError, UnsafeRuleError
 from repro.logic.builders import conj, forall
 from repro.logic.syntax import And, Atom, Forall, Implies, Not, free_variables
 from repro.logic.terms import Parameter, Term, Variable
+from repro.store import OrderedMultiset
 
 
 @dataclass(frozen=True)
@@ -102,10 +103,14 @@ class DatalogRule:
 
 
 class DatalogProgram:
-    """A collection of facts and rules over an implicit schema."""
+    """A collection of facts and rules over an implicit schema.
+
+    ``facts`` is an :class:`~repro.store.OrderedMultiset` (iterates like a
+    list, O(1) removal, an edit ``version`` the model caches key on);
+    ``rules`` is a plain list."""
 
     def __init__(self, facts=(), rules=()):
-        self.facts = []
+        self.facts = OrderedMultiset()
         self.rules = []
         # Declared output predicates (``(name, arity)`` pairs): the static
         # analyzer's reachability checks treat everything that cannot feed
@@ -124,7 +129,7 @@ class DatalogProgram:
             fact = DatalogFact(fact)
         if not isinstance(fact, DatalogFact):
             raise TypeError(f"expected a fact, got {fact!r}")
-        self.facts.append(fact)
+        self.facts.add(fact)
         return fact
 
     def add_rule(self, rule):

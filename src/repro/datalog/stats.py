@@ -16,7 +16,7 @@ bucket-size histograms, snapshotted from the live
 
 * for every ``(predicate, arity)`` relation and every argument position, a
   :class:`ColumnStatistics` records the total fact count, the distinct-value
-  count, the largest bucket and the sum of squared bucket sizes;
+  count and the sum of squared bucket sizes;
 * the planner-facing estimate for probing a bound column is the
   **frequency-weighted expected bucket size** ``Σ sizeᵢ² / Σ sizeᵢ`` — the
   expected number of matching facts when the probe value is drawn from the
@@ -29,7 +29,8 @@ The engine refreshes the histograms at the start of every fixpoint round
 (:meth:`JoinStatistics.refresh`), so derived relations that grow during
 evaluation — the typical recursive predicate — feed their observed shape
 back into the next round's join plans.  The snapshot is O(distinct values)
-per relation, which is negligible next to the joins themselves.
+per relation — negligible next to a fixpoint, not next to a small
+incremental batch, which therefore uses :meth:`JoinStatistics.adjust`.
 """
 
 from dataclasses import dataclass
@@ -40,14 +41,13 @@ class ColumnStatistics:
     """The bucket-size histogram summary of one argument position.
 
     ``total`` is the relation cardinality, ``distinct`` the number of
-    distinct values at this position, ``max_bucket`` the largest bucket and
-    ``sum_of_squares`` the sum of squared bucket sizes (the raw material of
-    the frequency-weighted estimate).
+    distinct values at this position and ``sum_of_squares`` the sum of
+    squared bucket sizes (the raw material of the frequency-weighted
+    estimate) — all three maintainable from a delta.
     """
 
     total: int
     distinct: int
-    max_bucket: int
     sum_of_squares: int
 
     @property
@@ -114,19 +114,54 @@ class JoinStatistics:
         self._columns = columns
         return self
 
+    def adjust(self, index, added, removed):
+        """Bring the snapshot up to date after *index* gained the atoms
+        *added* and lost the atoms *removed* (one batch's net change,
+        already applied), reading only the touched buckets through the
+        index's ``bucket_size``: a bucket now of size ``after`` that changed
+        by ``d`` held ``after - d`` before.  The result equals a
+        :meth:`refresh` of the changed index.  Returns ``self``."""
+        changes = {}
+        for atoms, sign in ((added, 1), (removed, -1)):
+            for atom in atoms:
+                key = (atom.predicate, len(atom.args))
+                by_position = changes.get(key)
+                if by_position is None:
+                    by_position = changes[key] = tuple({} for _ in atom.args)
+                for net, value in zip(by_position, atom.args):
+                    net[value] = net.get(value, 0) + sign
+        for key, by_position in changes.items():
+            predicate, arity = key
+            total = index.count(predicate, arity)
+            old = self._columns.get(key)
+            if not total:
+                # refresh() only snapshots relations holding facts
+                self._columns.pop(key, None)
+                continue
+            columns = []
+            for position, net in enumerate(by_position):
+                column = old[position] if old else None
+                distinct = column.distinct if column else 0
+                squares = column.sum_of_squares if column else 0
+                for value, change in net.items():
+                    after = index.bucket_size(predicate, arity, position, value)
+                    before = after - change
+                    distinct += (after > 0) - (before > 0)
+                    squares += after * after - before * before
+                columns.append(ColumnStatistics(total, distinct, squares))
+            self._columns[key] = tuple(columns)
+        return self
+
     @staticmethod
     def _summarise(sizes, total):
         """Fold an iterable of bucket *sizes* into a
         :class:`ColumnStatistics`."""
         distinct = 0
-        max_bucket = 0
         sum_of_squares = 0
         for size in sizes:
             distinct += 1
-            if size > max_bucket:
-                max_bucket = size
             sum_of_squares += size * size
-        return ColumnStatistics(total, distinct, max_bucket, sum_of_squares)
+        return ColumnStatistics(total, distinct, sum_of_squares)
 
     def column(self, predicate, arity, position):
         """The :class:`ColumnStatistics` of one argument position, or

@@ -2,9 +2,10 @@
 
 A thin, stateful orchestration layer over the rest of the package:
 
-* the **content** is a list of FOPCE sentences (facts, disjunctions,
+* the **content** is a sequence of FOPCE sentences (facts, disjunctions,
   existentials, rules — anything first order), exactly the paper's notion of
-  a database;
+  a database, kept in one :class:`~repro.store.OrderedMultiset` that the
+  views and the belief revisor read their counts and recency from;
 * **queries** are KFOPCE formulas (strings are parsed); ``ask`` returns
   yes/no/unknown for sentences, ``answers`` returns bindings for open
   queries, ``demo`` exposes the Prolog-style evaluator for admissible
@@ -37,6 +38,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import NOOP_TRACER
 from repro.semantics.config import DEFAULT_CONFIG
 from repro.semantics.reduction import EpistemicReducer
+from repro.store import OrderedMultiset, updated
 
 
 def _as_formula(value):
@@ -71,7 +73,7 @@ class EpistemicDatabase:
         self.config = config
         self.tracer = NOOP_TRACER if tracer is None else tracer
         self._metrics = MetricsRegistry()
-        self._sentences = []
+        self._sentences = OrderedMultiset()
         self._constraints = []
         self._checker = IntegrityChecker(config=config)
         self._triggers = TriggerManager(config=config)
@@ -113,6 +115,12 @@ class EpistemicDatabase:
     def sentences(self):
         """Return the database content (a copy)."""
         return list(self._sentences)
+
+    @property
+    def store(self):
+        """The live sentence store (an :class:`~repro.store.OrderedMultiset`;
+        treat as read-only)."""
+        return self._sentences
 
     def constraints(self):
         """Return the registered integrity constraints (a copy)."""
@@ -172,10 +180,11 @@ class EpistemicDatabase:
         When *check_constraints* is set and the updated database would
         violate a registered constraint, the assertion is rejected and
         :class:`~repro.exceptions.ConstraintViolationError` is raised.
-        Under ``constraint_checking="incremental"`` the check is an O(delta)
-        preview of the maintained :meth:`violation_view` instead of a
-        from-scratch re-evaluation.  Returns the constraint report (or
-        ``None`` when checking was skipped).
+        Under ``constraint_checking="incremental"`` the check holds the
+        sentence in the maintained :meth:`violation_view` (one O(delta)
+        pass, confirmed once the store took it) instead of a from-scratch
+        re-evaluation.  Returns the constraint report (or ``None`` when
+        checking was skipped).
         """
         formula = _as_formula(sentence)
         if not is_first_order(formula):
@@ -187,9 +196,9 @@ class EpistemicDatabase:
             raise ValueError(f"database sentences must be closed: {to_text(formula)}")
         report = None
         if check_constraints and self._constraints:
-            # Checked *before* the sentence list changes: the incremental
-            # path previews the batch against the maintained view, which
-            # must see the pre-update state.
+            # Checked *before* the store changes: the incremental path holds
+            # the batch in the maintained view, which must see the
+            # pre-update state, and confirms it when notified below.
             report, _ = self._checker.check_update(
                 self._sentences, added=[formula], constraints=self._constraints,
                 view=self._update_view(),
@@ -199,7 +208,7 @@ class EpistemicDatabase:
                     f"asserting {to_text(formula)} violates integrity constraints",
                     violations=report.violations,
                 )
-        self._sentences.append(formula)
+        self._sentences.add(formula)
         self._dirty = True
         self._metrics.counter("db.tells").inc()
         self._notify_update([formula], [])
@@ -208,45 +217,38 @@ class EpistemicDatabase:
         return report
 
     def retract(self, sentence, check_constraints=True):
-        """Remove a previously asserted sentence (no-op when absent).
+        """Remove the earliest occurrence of a previously asserted sentence
+        (no-op when absent).
 
-        Under ``constraint_checking="incremental"`` the constraint check is
-        an O(delta) preview of the maintained :meth:`violation_view`; the
-        scratch mode keeps the original remove/re-check/undo discipline."""
+        The store changes only once the check passed, so a rejected
+        retraction leaves the order and :attr:`revision_epoch` untouched.
+        Under ``constraint_checking="incremental"`` the check is an O(delta)
+        hold of the maintained :meth:`violation_view`; the scratch mode
+        re-checks every constraint on the theory without the sentence."""
         formula = _as_formula(sentence)
         if formula not in self._sentences:
             return None
         report = None
-        if (
-            check_constraints
-            and self._constraints
-            and self._constraint_checking == "incremental"
-        ):
-            report, _ = self._checker.check_update(
-                self._sentences, removed=[formula], constraints=self._constraints,
-                view=self.violation_view(),
-            )
+        if check_constraints and self._constraints:
+            view = self._update_view()
+            if view is not None:
+                report, _ = self._checker.check_update(
+                    self._sentences, removed=[formula],
+                    constraints=self._constraints, view=view,
+                )
+            else:
+                self._metrics.counter("db.checks").inc()
+                report = self._checker.check(
+                    updated(self._sentences, retractions=[formula]),
+                    constraints=self._constraints,
+                )
             if not report.satisfied:
                 raise ConstraintViolationError(
                     f"retracting {to_text(formula)} violates integrity constraints",
                     violations=report.violations,
                 )
-            self._sentences.remove(formula)
-            self._dirty = True
-            self._metrics.counter("db.retracts").inc()
-            self._notify_update([], [formula])
-            return report
         self._sentences.remove(formula)
         self._dirty = True
-        if check_constraints and self._constraints:
-            report = self.check_constraints()
-            if not report.satisfied:
-                self._sentences.append(formula)
-                self._dirty = True
-                raise ConstraintViolationError(
-                    f"retracting {to_text(formula)} violates integrity constraints",
-                    violations=report.violations,
-                )
         self._metrics.counter("db.retracts").inc()
         self._notify_update([], [formula])
         return report
@@ -299,7 +301,7 @@ class EpistemicDatabase:
         return self._violation_view
 
     def _update_view(self):
-        """The view commit-time checks should preview against — ``None``
+        """The view commit-time checks hold their batch in — ``None``
         under scratch checking, which keeps ``check_update`` on the
         classical from-scratch path."""
         if self._constraint_checking == "incremental" and self._constraints:
@@ -438,12 +440,7 @@ class EpistemicDatabase:
                 f"(something with .violations), got {type(report).__name__}"
             )
         policy = RecencyPolicy() if policy is None else policy
-        counts = {}
-        sequences = {}
-        for position, sentence in enumerate(self._sentences):
-            counts[sentence] = counts.get(sentence, 0) + 1
-            sequences.setdefault(sentence, position)
-        state = EntrenchmentState(sequences)
+        state = EntrenchmentState(self._sentences)
         explanations = []
         for violation in violations:
             constraint = violation.constraint
@@ -457,7 +454,7 @@ class EpistemicDatabase:
                 support = tuple(violation_support(constraint, witness))
                 candidates = []
                 for pattern in support:
-                    for candidate in _match(pattern, counts):
+                    for candidate in _match(pattern, self._sentences):
                         if candidate not in candidates:
                             candidates.append(candidate)
                 candidates.sort(key=lambda sentence: policy.key(sentence, state))

@@ -8,10 +8,13 @@ security number is one update, regardless of the order of the two facts).
 :class:`Transaction` provides exactly that:
 
 * ``tell`` / ``retract`` stage changes without touching the database;
-* ``commit`` applies the whole batch, re-checks only the constraints whose
-  predicates the batch touches (the Nicolas-style relevance filter already
-  used by the checker), fires triggers once, and rolls everything back if a
-  constraint fails;
+* ``commit`` checks the whole batch first — under incremental checking by
+  holding it in the maintained violation view (one O(delta) maintenance
+  pass), under scratch checking by re-checking only the constraints whose
+  predicates the batch touches (the Nicolas-style relevance filter) — and
+  only then applies it to the database's sentence store in O(delta): the
+  view confirms its held batch instead of maintaining it again, triggers
+  fire once, and a failed check leaves everything untouched;
 * the object is also a context manager — leaving the ``with`` block commits,
   an exception inside it discards the staged changes.
 """
@@ -67,9 +70,17 @@ class Transaction:
         constraint.  Returns the constraint report of the incremental check
         (``None`` when the database has no constraints).
 
+        The check runs before the store changes.  Once it passed, each
+        staged retraction removes the earliest remaining occurrence of its
+        sentence (absent ones are skipped) and the additions are appended —
+        O(1) per staged sentence on the store — and listeners hear the net
+        batch once.  An accepted incremental commit therefore costs one
+        maintenance pass of the violation view (its held check) plus
+        O(delta) bookkeeping.
+
         *constraints* selects the checking mode for this commit —
         ``"scratch"`` (classical re-check through the relevance filter) or
-        ``"incremental"`` (an O(delta) preview of the database's maintained
+        ``"incremental"`` (an O(delta) hold of the database's maintained
         :meth:`~repro.db.database.EpistemicDatabase.violation_view`, with
         witnesses from the view and fallback reasons on the report).  The
         default is the database's own ``constraint_checking`` mode.
@@ -94,7 +105,7 @@ class Transaction:
                     view = database.violation_view()
                 with tracer.span("txn.check", mode=mode):
                     report, _ = database._checker.check_update(
-                        database.sentences(),
+                        database.store,
                         added=self._additions,
                         removed=self._retractions,
                         constraints=database.constraints(),
@@ -109,27 +120,15 @@ class Transaction:
                         violations=report.violations,
                     )
             with tracer.span("txn.apply"):
-                # Apply the retractions in one pass over the sentence list
-                # (each staged retraction removes one occurrence, earliest
-                # first — the same net effect as repeated ``list.remove``
-                # without the O(batch × database) rescans that made large
-                # commits quadratic).
                 applied_retractions = []
-                to_remove = {}
-                for sentence in self._retractions:
-                    to_remove[sentence] = to_remove.get(sentence, 0) + 1
-                if to_remove:
-                    kept = []
-                    for sentence in database._sentences:
-                        pending = to_remove.get(sentence, 0)
-                        if pending:
-                            to_remove[sentence] = pending - 1
+                with tracer.span("txn.store"):
+                    store = database.store
+                    for sentence in self._retractions:
+                        if sentence in store:
+                            store.remove(sentence)
                             applied_retractions.append(sentence)
-                        else:
-                            kept.append(sentence)
-                    database._sentences[:] = kept
-                for sentence in self._additions:
-                    database._sentences.append(sentence)
+                    for sentence in self._additions:
+                        store.add(sentence)
                 database._dirty = True
                 self._committed = True
                 metrics = getattr(database, "_metrics", None)

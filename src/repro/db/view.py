@@ -13,9 +13,9 @@ Two properties matter for correctness under transactional traffic:
 
 * only *applied* changes notify — a rejected batch or an explicit
   ``rollback`` leaves the view (and the engine cache behind it) untouched;
-* looking at pending state goes through :meth:`DatalogView.preview`, which
-  peeks side-effect-free instead of applying-then-undoing against the live
-  view, so a peek can never poison the maintained model.
+* looking at pending state goes through :meth:`DatalogView.preview`, a
+  side-effect-free peek (hold, read, exact rollback), so a peek can never
+  poison the maintained model.
 
 Non-atomic sentences (disjunctions, existentials, arbitrary FOPCE) are not
 part of the Prolog-like reading and are ignored by the view; ask the
@@ -39,13 +39,37 @@ def _ground_atoms(sentences):
     ]
 
 
-def _occurrence_counts(sentences):
-    """How often each ground atomic sentence occurs (the database stores a
-    sentence *list*; its semantics is a theory — a set)."""
-    counts = {}
-    for sentence in _ground_atoms(sentences):
-        counts[sentence] = counts.get(sentence, 0) + 1
-    return counts
+def _staged_edb_change(store, additions, retractions):
+    """The ``(insertions, deletions)`` batch that committing the staged
+    *additions* and *retractions* against *store* would make to the EDB:
+    each staged retraction removes one occurrence, so a fact is deleted
+    only once no occurrence is left (the model's set semantics keep a fact
+    that is also re-added)."""
+    staged = {}
+    for atom in _ground_atoms(retractions):
+        staged[atom] = staged.get(atom, 0) + 1
+    deletions = [atom for atom, count in staged.items() if store.count(atom) <= count]
+    return _ground_atoms(additions), deletions
+
+
+def _net_edb_change(store, added, removed):
+    """The net EDB change of an applied update (*store* already updated):
+    the ground atoms whose occurrence count went from zero to positive
+    (insertions) or from positive to zero (deletions)."""
+    change = {}
+    for atom in _ground_atoms(added):
+        change[atom] = change.get(atom, 0) + 1
+    for atom in _ground_atoms(removed):
+        change[atom] = change.get(atom, 0) - 1
+    insertions, deletions = [], []
+    for atom, delta in change.items():
+        after = store.count(atom)
+        before = after - delta
+        if after and not before:
+            insertions.append(atom)
+        elif before and not after:
+            deletions.append(atom)
+    return insertions, deletions
 
 
 class DatalogView:
@@ -78,7 +102,7 @@ class DatalogView:
         program = DatalogProgram()
         for rule in rules:
             program.add_rule(rule)
-        for sentence in _ground_atoms(database.sentences()):
+        for sentence in _ground_atoms(database.store.distinct()):
             program.add_fact(sentence)
         self._materialized = MaterializedModel(
             program, strategy=strategy, shards=shards, planner=planner, storage=storage
@@ -124,23 +148,10 @@ class DatalogView:
         """The :class:`~repro.semantics.worlds.World` the view would show if
         *transaction* committed — computed as a side-effect-free peek, so the
         maintained state survives a subsequent rollback untouched."""
-        additions, retractions = transaction.pending
-        # Mirror commit + _on_update exactly: each staged retraction removes
-        # one occurrence from the sentence list, and the EDB fact only
-        # disappears once no occurrence is left.
-        staged = _occurrence_counts(retractions)
-        deletions = []
-        if staged:
-            occurrences = _occurrence_counts(self._database.sentences())
-            deletions = [
-                atom
-                for atom, count in staged.items()
-                if occurrences.get(atom, 0) <= count
-            ]
-        return self._materialized.peek(
-            insertions=_ground_atoms(additions),
-            deletions=deletions,
+        insertions, deletions = _staged_edb_change(
+            self._database.store, *transaction.pending
         )
+        return self._materialized.peek(insertions=insertions, deletions=deletions)
 
     # -- lifecycle ------------------------------------------------------------
     def close(self):
@@ -148,17 +159,7 @@ class DatalogView:
         self._database.remove_update_listener(self._on_update)
 
     def _on_update(self, added, removed):
-        # A retraction only deletes the EDB fact once no occurrence of the
-        # sentence is left — checked with a single pass over the database
-        # rather than one membership scan per removed atom.
-        removed_atoms = _ground_atoms(removed)
-        deletions = []
-        if removed_atoms:
-            occurrences = _occurrence_counts(self._database.sentences())
-            deletions = [
-                atom for atom in set(removed_atoms) if occurrences.get(atom, 0) == 0
-            ]
-        insertions = _ground_atoms(added)
+        insertions, deletions = _net_edb_change(self._database.store, added, removed)
         if insertions or deletions:
             self._materialized.apply(insertions, deletions)
 

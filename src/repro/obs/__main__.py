@@ -2,7 +2,9 @@
 
 Reads a JSON-lines trace exported by :meth:`repro.obs.tracing.Tracer.export`
 and renders the per-operation aggregate tree — spans grouped by their
-name-path from the root, each with count / total / p50 / p99.
+name-path from the root, each with count / total / self / p50 / p99, where
+*self* is the total minus the direct child spans: the time no finer span
+accounts for.
 """
 
 import argparse
@@ -18,7 +20,7 @@ def main(argv=None):
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
     summarize = subparsers.add_parser(
-        "summarize", help="render the per-operation count/total/p50/p99 tree"
+        "summarize", help="render the per-operation count/total/self/p50/p99 tree"
     )
     summarize.add_argument("trace", help="a JSON-lines trace file (Tracer.export)")
     options = parser.parse_args(argv)

@@ -196,7 +196,8 @@ def summarize_trace(entries):
     the root down (two ``fixpoint.round`` spans under different parents
     aggregate separately).  Returns a list of ``(depth, name, stats)``
     rows in tree order, where ``stats`` has ``count``, ``total``, ``p50``
-    and ``p99`` (seconds).
+    and ``p99`` (seconds) plus ``self``: the total minus the time of the
+    spans' direct children, i.e. the time no child span accounts for.
     """
     from repro.obs.metrics import Histogram
 
@@ -213,7 +214,14 @@ def summarize_trace(entries):
             parent = parent_entry.get("parent")
         return tuple(reversed(names))
 
+    child_time = {}
+    for entry in entries:
+        parent = entry.get("parent")
+        if parent is not None and entry.get("duration") is not None:
+            child_time[parent] = child_time.get(parent, 0.0) + entry["duration"]
+
     histograms = {}
+    self_time = {}
     for entry in entries:
         duration = entry.get("duration")
         if duration is None:
@@ -223,24 +231,30 @@ def summarize_trace(entries):
         if histogram is None:
             histogram = histograms[path] = Histogram(entry["name"])
         histogram.observe(duration)
+        self_time[path] = self_time.get(path, 0.0) + duration - child_time.get(
+            entry.get("id"), 0.0
+        )
 
     rows = []
     for path in sorted(histograms):
-        histogram = histograms[path]
-        rows.append((len(path) - 1, path[-1], histogram.snapshot()))
+        stats = histograms[path].snapshot()
+        stats["self"] = self_time[path]
+        rows.append((len(path) - 1, path[-1], stats))
     return rows
 
 
 def render_summary(rows):
     """Render :func:`summarize_trace` rows as an aligned text tree."""
     lines = [
-        f"{'operation':<44} {'count':>7} {'total':>10} {'p50':>9} {'p99':>9}"
+        f"{'operation':<44} {'count':>7} {'total':>10} {'self':>10} "
+        f"{'p50':>9} {'p99':>9}"
     ]
     for depth, name, stats in rows:
         label = "  " * depth + name
         lines.append(
             f"{label:<44} {stats['count']:>7} "
             f"{stats['total'] * 1000:>8.1f}ms "
+            f"{stats['self'] * 1000:>8.1f}ms "
             f"{stats['p50'] * 1000:>7.2f}ms "
             f"{stats['p99'] * 1000:>7.2f}ms"
         )

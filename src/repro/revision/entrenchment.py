@@ -24,17 +24,19 @@ from repro.logic.syntax import Atom
 
 
 class EntrenchmentState:
-    """Read-only bookkeeping handed to policies: for each sentence currently
-    believed, the *sequence number* of its first surviving occurrence —
-    monotonically increasing with assertion order, refreshed when a sentence
-    is retracted and later re-asserted."""
+    """Read-only view handed to policies over the belief base (an
+    :class:`~repro.store.OrderedMultiset`, e.g. the database's store): for
+    each sentence currently believed, the *sequence number* of its first
+    surviving occurrence — monotonically increasing with assertion order,
+    refreshed when a sentence is retracted and later re-asserted."""
 
-    def __init__(self, sequences):
-        self._sequences = sequences
+    def __init__(self, base):
+        self._base = base
 
     def sequence(self, sentence):
         """Assertion sequence number of *sentence* (-1 when unknown)."""
-        return self._sequences.get(sentence, -1)
+        sequence = self._base.first_sequence(sentence)
+        return -1 if sequence is None else sequence
 
 
 class EntrenchmentPolicy:

@@ -22,6 +22,7 @@ from repro.logic.syntax import free_variables
 from repro.logic.transform import simplify
 from repro.revision.planner import plan_retractions
 from repro.semantics.config import DEFAULT_CONFIG
+from repro.store import OrderedMultiset, updated
 
 
 def _normalize(sentence):
@@ -38,35 +39,6 @@ def _normalize(sentence):
     return simplify(formula)
 
 
-def _bookkeeping(sentences):
-    """Occurrence counts and first-occurrence sequence numbers, recomputed
-    from the list — the naive stand-in for the revisor's incrementally
-    maintained maps (relative order agrees, which is all policies compare)."""
-    counts, sequences = {}, {}
-    for sentence in sentences:
-        count = counts.get(sentence, 0)
-        counts[sentence] = count + 1
-        if count == 0:
-            sequences[sentence] = len(sequences)
-    return counts, sequences
-
-
-def _apply(sentences, additions, retractions):
-    """Transaction.commit's application discipline over a plain list: each
-    staged retraction removes one occurrence (earliest first), additions
-    append."""
-    pending = {}
-    for sentence in retractions:
-        pending[sentence] = pending.get(sentence, 0) + 1
-    applied = []
-    for sentence in sentences:
-        if pending.get(sentence, 0) > 0:
-            pending[sentence] -= 1
-            continue
-        applied.append(sentence)
-    return applied + list(additions)
-
-
 def naive_update_batch(sentences, constraints, tells=(), retracts=(),
                        policy=None, config=DEFAULT_CONFIG, max_rounds=25):
     """Apply one belief-change batch to a plain sentence list, resolving
@@ -79,7 +51,9 @@ def naive_update_batch(sentences, constraints, tells=(), retracts=(),
     :class:`~repro.exceptions.RevisionError` exactly when the operator
     would."""
     sentences = list(sentences)
-    counts, sequences = _bookkeeping(sentences)
+    # Rebuilt from the list: the naive stand-in for the database's store
+    # (relative recency agrees, which is all policies compare).
+    base = OrderedMultiset(sentences)
     additions = []
     for sentence in tells:
         formula = _normalize(sentence)
@@ -90,11 +64,9 @@ def naive_update_batch(sentences, constraints, tells=(), retracts=(),
         formula = _normalize(sentence)
         if formula in additions or formula in removals:
             continue
-        if counts.get(formula, 0) > 0:
+        if formula in base:
             removals.append(formula)
-    new_additions = [
-        formula for formula in additions if counts.get(formula, 0) == 0
-    ]
+    new_additions = [formula for formula in additions if formula not in base]
     if not new_additions and not removals:
         return sentences, tuple(additions), (), ()
     extra = ()
@@ -103,21 +75,21 @@ def naive_update_batch(sentences, constraints, tells=(), retracts=(),
 
         def preview(batch_additions, batch_retractions):
             return checker.check(
-                _apply(sentences, batch_additions, batch_retractions),
+                updated(sentences, batch_additions, batch_retractions),
                 with_witnesses=True, witness_limit=None,
             )
 
         extra = plan_retractions(
-            preview, counts, sequences, policy=policy,
+            preview, base, policy=policy,
             additions=new_additions, removals=removals,
             protected=additions, max_rounds=max_rounds,
         )
     expanded = [
         sentence
         for sentence in removals + list(extra)
-        for _ in range(counts.get(sentence, 0))
+        for _ in range(base.count(sentence))
     ]
-    final = _apply(sentences, new_additions, expanded)
+    final = updated(sentences, new_additions, expanded)
     return final, tuple(new_additions), tuple(removals), tuple(extra)
 
 

@@ -18,7 +18,7 @@ nothing when there is no conflict (**vacuity**), keep the base consistent
 
 Conflicts are *found* by the PR 8 violation views
 (:meth:`~repro.constraints.views.ViolationView.preview_report` — an O(delta)
-peek, never a recompute), *blamed* by :func:`~repro.constraints.views.violation_support`
+hold and rollback, never a recompute), *blamed* by :func:`~repro.constraints.views.violation_support`
 (witness → supporting facts), *arbitrated* by a pluggable entrenchment policy
 (:mod:`repro.revision.entrenchment`), *vetted* for satisfiability through
 :mod:`repro.prover` / :mod:`repro.cwa`, and *applied* as a single
@@ -27,7 +27,6 @@ materialized model follows along in O(delta).  Each applied operation bumps
 the database's ``revision_epoch`` and is recorded in :attr:`BeliefRevisor.history`.
 """
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -91,10 +90,11 @@ class BeliefRevisor:
     check uses the CWA closure (:func:`repro.cwa.closure.closure_is_satisfiable`)
     instead of plain first-order satisfiability.
 
-    The revisor tracks the base through the database's update listeners —
-    occurrence counts and assertion sequence numbers stay O(delta) per
-    update, and out-of-band ``tell``/``retract``/transactions on the same
-    database are observed too.  :meth:`close` unsubscribes.
+    The revisor reads occurrence counts and assertion sequence numbers
+    straight off the database's sentence store (O(1) each), so
+    out-of-band ``tell``/``retract``/transactions on the same database are
+    seen too; an update listener only counts the non-atomic sentences the
+    ``"auto"`` consistency check looks for.  :meth:`close` unsubscribes.
     """
 
     def __init__(self, database, policy=None, consistency="auto",
@@ -106,13 +106,10 @@ class BeliefRevisor:
         self._consistency = consistency
         self._closed_world = closed_world
         self._max_rounds = max_rounds
-        self._counts = {}
-        self._sequences = {}
-        self._sequence_queues = {}
-        self._next_sequence = 0
-        self._nonatomic = 0
-        for sentence in database.sentences():
-            self._observe_added(sentence)
+        self._base = database.store
+        self._nonatomic = sum(
+            not _is_ground_atom(sentence) for sentence in self._base
+        )
         self._listener = database.add_update_listener(self._on_update)
         self._records = []
 
@@ -135,7 +132,7 @@ class BeliefRevisor:
 
     def believes(self, sentence):
         """Whether *sentence* (normalized) is currently in the base."""
-        return self._counts.get(self._normalize(sentence), 0) > 0
+        return self._normalize(sentence) in self._base
 
     # -- operators ----------------------------------------------------------
     def expand(self, sentence):
@@ -144,7 +141,7 @@ class BeliefRevisor:
         them (a later :meth:`revise`/:meth:`update_batch` repairs).  Adding
         an already-believed sentence is a no-op (the base is a set)."""
         formula = self._normalize(sentence)
-        if self._counts.get(formula, 0) > 0:
+        if formula in self._base:
             return self._record(RevisionResult(
                 "expand", additions=(formula,), epoch=self._database.revision_epoch,
                 changed=False,
@@ -168,7 +165,7 @@ class BeliefRevisor:
         department cascades into its referencing assignments.  Contracting a
         non-belief is a no-op (vacuity)."""
         formula = self._normalize(sentence)
-        if self._counts.get(formula, 0) == 0:
+        if formula not in self._base:
             return self._record(RevisionResult(
                 "contract", removals=(formula,),
                 epoch=self._database.revision_epoch, changed=False,
@@ -193,10 +190,10 @@ class BeliefRevisor:
             formula = self._normalize(sentence)
             if formula in additions or formula in removals:
                 continue
-            if self._counts.get(formula, 0) > 0:
+            if formula in self._base:
                 removals.append(formula)
         new_additions = [
-            formula for formula in additions if self._counts.get(formula, 0) == 0
+            formula for formula in additions if formula not in self._base
         ]
         if not new_additions and not removals:
             return self._record(RevisionResult(
@@ -215,7 +212,7 @@ class BeliefRevisor:
 
             with tracer.span("revision.plan", operation=operation) as span:
                 extra = plan_retractions(
-                    preview, self._counts, self._sequences, policy=self._policy,
+                    preview, self._base, policy=self._policy,
                     additions=new_additions, removals=removals,
                     protected=additions, max_rounds=self._max_rounds,
                 )
@@ -224,7 +221,7 @@ class BeliefRevisor:
         with tracer.span("revision.apply", operation=operation):
             transaction = self._database.transaction()
             for sentence in removals + list(extra):
-                for _ in range(self._counts.get(sentence, 0)):
+                for _ in range(self._base.count(sentence)):
                     transaction.retract(sentence)
             for sentence in new_additions:
                 transaction.tell(sentence)
@@ -291,46 +288,9 @@ class BeliefRevisor:
         self._records.append(result)
         return result
 
-    def _observe_added(self, sentence):
-        # Every occurrence carries its own sequence number; a sentence's
-        # *recency* is that of its first surviving occurrence (queue head).
-        # Tracking per occurrence matters: retracting one copy of a
-        # duplicated belief must advance its recency to the surviving,
-        # later telling — the differential harness caught the scalar
-        # version ranking by a dead occurrence.
-        queue = self._sequence_queues.setdefault(sentence, deque())
-        queue.append(self._next_sequence)
-        self._next_sequence += 1
-        self._counts[sentence] = len(queue)
-        self._sequences[sentence] = queue[0]
-        if len(queue) == 1 and not _is_ground_atom(sentence):
-            self._nonatomic += 1
-
-    def _observe_removed(self, sentence):
-        queue = self._sequence_queues.get(sentence)
-        if not queue:
-            return
-        # The database removes the earliest occurrence first (list.remove /
-        # the commit's one-pass discipline), so the head sequence goes.
-        queue.popleft()
-        if queue:
-            self._counts[sentence] = len(queue)
-            self._sequences[sentence] = queue[0]
-        else:
-            self._sequence_queues.pop(sentence, None)
-            self._counts.pop(sentence, None)
-            self._sequences.pop(sentence, None)
-            if not _is_ground_atom(sentence):
-                self._nonatomic -= 1
-
     def _on_update(self, added, removed):
-        # Mirrors Transaction.commit's application order: retractions land
-        # before additions, so a retract-and-retell refreshes the sentence's
-        # sequence number (it becomes the newest belief again).
-        for sentence in removed:
-            self._observe_removed(sentence)
-        for sentence in added:
-            self._observe_added(sentence)
+        self._nonatomic += sum(not _is_ground_atom(s) for s in added)
+        self._nonatomic -= sum(not _is_ground_atom(s) for s in removed)
 
     def __repr__(self):
         return (

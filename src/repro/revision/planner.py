@@ -8,7 +8,8 @@ parameterized *only* by the ``preview`` primitive:
 
 * the view-backed operator (:class:`~repro.revision.operators.BeliefRevisor`)
   previews through :meth:`~repro.constraints.views.ViolationView.preview_report`
-  — an O(delta) peek through the incremental maintenance machinery;
+  — an O(delta) hold-and-rollback through the incremental maintenance
+  machinery;
 * the naive baseline (:func:`~repro.revision.naive.naive_update_batch`)
   rebuilds the candidate theory and re-runs the from-scratch
   :class:`~repro.constraints.checker.IntegrityChecker` on every probe.
@@ -30,16 +31,16 @@ from repro.logic.terms import Parameter
 from repro.revision.entrenchment import EntrenchmentState, RecencyPolicy
 
 
-def _match(pattern, counts):
-    """The sentences of the base (``counts``) matching a support *pattern* —
-    the pattern itself when ground, otherwise every believed atom unifying
-    with it (same predicate/arity, parameters agree, variables bind
-    consistently)."""
+def _match(pattern, base):
+    """The sentences of the *base* (an :class:`~repro.store.OrderedMultiset`)
+    matching a support *pattern* — the pattern itself when ground,
+    otherwise every believed atom unifying with it (same predicate/arity,
+    parameters agree, variables bind consistently)."""
     if all(isinstance(arg, Parameter) for arg in pattern.args):
-        return [pattern] if counts.get(pattern, 0) > 0 else []
+        return [pattern] if pattern in base else []
     matches = []
-    for sentence, count in counts.items():
-        if count <= 0 or not isinstance(sentence, Atom):
+    for sentence in base.distinct():
+        if not isinstance(sentence, Atom):
             continue
         if sentence.predicate != pattern.predicate:
             continue
@@ -64,7 +65,7 @@ def _match(pattern, counts):
     return matches
 
 
-def plan_retractions(preview, counts, sequences, policy=None, additions=(),
+def plan_retractions(preview, base, policy=None, additions=(),
                      removals=(), protected=(), max_rounds=25):
     """Compute the extra retractions that make ``base - removals + additions``
     satisfy the integrity constraints, greedily retracting the least
@@ -72,11 +73,12 @@ def plan_retractions(preview, counts, sequences, policy=None, additions=(),
 
     ``preview(additions, retractions)`` returns the
     :class:`~repro.constraints.checker.ConstraintReport` of the hypothetical
-    state (retractions occurrence-expanded, uncapped witnesses); ``counts``
-    maps believed sentences to occurrence counts and ``sequences`` to
-    assertion sequence numbers (both read-only here).  *protected* sentences
-    are never retracted — the operators protect the very information being
-    revised in, which is what makes the AGM success postulate hold.
+    state (retractions occurrence-expanded, uncapped witnesses); *base* is
+    the belief base, an :class:`~repro.store.OrderedMultiset` giving
+    occurrence counts and assertion sequence numbers (read-only here).
+    *protected* sentences are never retracted — the operators protect the
+    very information being revised in, which is what makes the AGM success
+    postulate hold.
 
     Returns the chosen sentences in a deterministic order.  Raises
     :class:`~repro.exceptions.RevisionError` when a violation has no
@@ -84,7 +86,7 @@ def plan_retractions(preview, counts, sequences, policy=None, additions=(),
     their own) or the loop exceeds *max_rounds*.
     """
     policy = policy if policy is not None else RecencyPolicy()
-    state = EntrenchmentState(sequences)
+    state = EntrenchmentState(base)
 
     def entrenchment(sentence):
         return policy.key(sentence, state)
@@ -103,7 +105,7 @@ def plan_retractions(preview, counts, sequences, policy=None, additions=(),
         return [
             sentence
             for sentence in removals + extra
-            for _ in range(counts.get(sentence, 0))
+            for _ in range(base.count(sentence))
         ]
 
     report = None
@@ -118,7 +120,7 @@ def plan_retractions(preview, counts, sequences, policy=None, additions=(),
             for witness in violation.witnesses or ((),):
                 candidates = []
                 for pattern in violation_support(violation.constraint, witness):
-                    for candidate in _match(pattern, counts):
+                    for candidate in _match(pattern, base):
                         if candidate in protected_set:
                             continue
                         if candidate in excluded or candidate in chosen_set:

@@ -4,9 +4,11 @@ The committed ``BENCH_datalog.json`` is the perf trajectory future PRs diff
 against; these tests fail when it goes stale (a strategy, the incremental
 mode, the magic-set query section, the sharded parallel section, the
 columnar-vs-objects storage section, the static-analysis section, the
-violation-view constraints section or the belief-revision section is
-missing, model/answer/verdict/result
-agreement was not verified, the no-op tracing overhead of the observability
+violation-view constraints section, the belief-revision section or the
+fixed-delta commit-scaling section is missing, a fixed 10-fact commit
+costs more than 2x at 200k facts than at 25k or its maintenance work
+depends on the database size, the host's cpu_count is not recorded,
+model/answer/verdict/result agreement was not verified, the no-op tracing overhead of the observability
 section rose above its 5% cap, the incremental speedup slipped below its 10x target, the
 magic point-query speedup below its 5x target, the columnar fixpoint
 speedup / peak-memory advantage below its 3x / <1x targets or the
@@ -319,6 +321,40 @@ def test_structure_check_catches_unverified_observability_models(report):
     assert any(
         "noop/traced/provenance" in p for p in check_bench.structure_problems(stale)
     )
+
+
+def test_structure_check_catches_missing_commit_scaling_section(report):
+    stale = dict(report)
+    stale.pop("commit_scaling", None)
+    assert any("commit_scaling" in p for p in check_bench.structure_problems(stale))
+
+
+def _scaled_rows(report, **largest_changes):
+    rows = [dict(row) for row in report["commit_scaling"]["rows"]]
+    rows.sort(key=lambda row: row["facts"])
+    rows[-1].update(largest_changes)
+    return {**report, "commit_scaling": {**report["commit_scaling"], "rows": rows}}
+
+
+def test_structure_check_catches_commit_time_growing_with_size(report):
+    smallest = min(report["commit_scaling"]["rows"], key=lambda row: row["facts"])
+    stale = _scaled_rows(
+        report, commit_p50_seconds=smallest["commit_p50_seconds"] * 5
+    )
+    assert any("not O(delta)" in p for p in check_bench.structure_problems(stale))
+
+
+def test_structure_check_catches_size_dependent_commit_work(report):
+    largest = max(report["commit_scaling"]["rows"], key=lambda row: row["facts"])
+    work = {**largest["work_per_commit"], "applies": 3.0}
+    stale = _scaled_rows(report, work_per_commit=work)
+    assert any("work per commit" in p for p in check_bench.structure_problems(stale))
+
+
+def test_structure_check_catches_missing_cpu_count(report):
+    stale = dict(report)
+    stale.pop("cpu_count", None)
+    assert any("cpu_count" in p for p in check_bench.structure_problems(stale))
 
 
 def test_structure_check_catches_noop_overhead_above_cap(report):

@@ -248,6 +248,20 @@ def test_export_read_summarize_roundtrip(tmp_path):
     assert len(tracer) == 0
 
 
+def test_summarize_reports_self_time():
+    ticks = iter([0.0, 1.0, 3.0, 10.0])  # round in, pass in, pass out, round out
+    tracer = Tracer(clock=lambda: next(ticks))
+    with tracer.span("round"):
+        with tracer.span("pass"):
+            pass
+    rows = summarize_trace(tracer.entries)
+    stats = {name: row for _, name, row in rows}
+    assert stats["round"]["total"] == 10.0 and stats["round"]["self"] == 8.0
+    assert stats["pass"]["self"] == 2.0
+    header, round_line, _ = render_summary(rows).splitlines()
+    assert "self" in header and "8000.0ms" in round_line
+
+
 def test_noop_tracer_is_free_of_state():
     tracer = NoopTracer()
     assert tracer.enabled is False
