@@ -8,10 +8,6 @@ identical least model, then replays a tell/retract update stream to measure
 incremental view maintenance (``MaterializedModel.apply``) against full
 recomputation, times goal-directed (magic-set) point queries against full
 materialization at several binding patterns (the ``query`` section), and
-times the sharded parallel strategy against indexed across shard counts (the
-``parallel`` section — model agreement verified per cell, the recorded
-``speedup_parallel_vs_indexed`` is honest about the host: on a single-core
-GIL build it hovers around 1x and the section mostly guards overhead), and
 races the columnar interned storage backend against object-graph storage on
 the indexed fixpoint (the ``storage`` section — ``least_index()`` seconds
 and peak memory per backend, fact-for-fact equivalence verified), and
@@ -49,8 +45,6 @@ Usage::
     python benchmarks/run_bench.py --no-incremental  # skip the update stream
     python benchmarks/run_bench.py --no-query      # skip the magic-set
                                                    # query section
-    python benchmarks/run_bench.py --no-parallel   # skip the sharded
-                                                   # parallel section
     python benchmarks/run_bench.py --no-storage    # skip the columnar-vs-
                                                    # objects storage section
     python benchmarks/run_bench.py --no-violations # skip the violation-view
@@ -86,7 +80,6 @@ from repro.datalog.incremental import MaterializedModel  # noqa: E402
 from repro.logic.terms import Variable  # noqa: E402
 from repro.logic.syntax import Atom  # noqa: E402
 from repro.workloads.generators import (  # noqa: E402
-    independent_components_program,
     join_chain_program,
     point_query,
     same_generation_program,
@@ -94,9 +87,8 @@ from repro.workloads.generators import (  # noqa: E402
     update_stream,
 )
 
-#: the matrix compares the sequential strategies; the parallel strategy has
-#: its own section (shards x workload, against indexed).
-MATRIX_STRATEGIES = tuple(s for s in STRATEGIES if s != "parallel")
+#: the matrix compares every evaluation strategy.
+MATRIX_STRATEGIES = STRATEGIES
 
 FULL_MATRIX = [
     ("transitive_closure", transitive_closure_program,
@@ -288,87 +280,6 @@ QUERY_GRID = [
 ]
 
 QUICK_QUERY_GRID = [dict(depth=5, branching=3)]
-
-#: (workload, builder, params, shard counts) — the parallel section's grid.
-#: The transitive-closure row is the acceptance row: the largest TC workload
-#: of the matrix, with the parallel-vs-indexed ratio recorded per shard
-#: count.  The independent-components row exercises wave-level concurrency
-#: (four recursive SCCs evaluated concurrently) rather than shard fan-out.
-PARALLEL_GRID = [
-    ("transitive_closure", transitive_closure_program,
-     dict(chains=400, length=5), (1, 2, 4)),
-    ("independent_components", independent_components_program,
-     dict(components=4, chains=100, length=5), (4,)),
-]
-
-QUICK_PARALLEL_GRID = [
-    ("transitive_closure", transitive_closure_program,
-     dict(chains=100, length=5), (1, 4)),
-]
-
-
-def run_parallel_bench(grid=None, repeats=1):
-    """Time ``strategy="parallel"`` against ``indexed`` across shard counts,
-    verifying per cell that both compute the identical least model.
-
-    The recorded ``speedup_parallel_vs_indexed`` is the honest wall-time
-    ratio on this host (``workers`` and ``cpu_count`` are recorded next to
-    it): >1 needs real cores, while on a single-core GIL build the section
-    pins down the sharding/scheduling overhead instead.
-    """
-    import os
-
-    rows = []
-    for workload, builder, params, shard_grid in grid or PARALLEL_GRID:
-        program = builder(**params)
-        facts = len(program.facts)
-        indexed_seconds, indexed_model, _, _ = measure(builder, params, "indexed", repeats)
-        row = {
-            "workload": workload,
-            "params": params,
-            "facts": facts,
-            "cpu_count": os.cpu_count(),
-            "indexed_seconds": round(indexed_seconds, 6),
-            "indexed_peak_kb": round(measure_peak(builder, params, "indexed") / 1024, 1),
-            "shards": {},
-            "models_identical": True,
-        }
-        for shards in shard_grid:
-            seconds, model, _, engine = measure(
-                builder, params, "parallel", repeats, engine_kwargs=dict(shards=shards)
-            )
-            if model != indexed_model:
-                row["models_identical"] = False
-            parallel_statistics = engine.parallel_statistics
-            peak = measure_peak(
-                builder, params, "parallel", engine_kwargs=dict(shards=shards)
-            )
-            row["shards"][str(shards)] = {
-                "seconds": round(seconds, 6),
-                "peak_kb": round(peak / 1024, 1),
-                "workers": parallel_statistics.workers,
-                "waves": parallel_statistics.waves,
-                "max_wave_width": parallel_statistics.max_wave_width,
-                "shard_tasks": parallel_statistics.shard_tasks,
-                "speedup_parallel_vs_indexed": round(indexed_seconds / seconds, 2)
-                if seconds > 0
-                else None,
-            }
-        if not row["models_identical"]:
-            raise SystemExit(
-                f"parallel evaluation disagrees with indexed on {workload} {params}"
-            )
-        rows.append(row)
-        rendered = {
-            shards: f"{cell['speedup_parallel_vs_indexed']}x"
-            for shards, cell in row["shards"].items()
-        }
-        print(
-            f"parallel {workload} {params} ({facts} facts): indexed "
-            f"{indexed_seconds * 1000:.1f} ms, speedups by shard count {rendered}"
-        )
-    return rows
-
 
 def run_query_bench(grid=None, repeats=1):
     """Time goal-directed (magic-set) evaluation against full
@@ -1292,8 +1203,6 @@ def main(argv=None):
                         help="skip the incremental view-maintenance stream")
     parser.add_argument("--no-query", action="store_true",
                         help="skip the magic-set query section")
-    parser.add_argument("--no-parallel", action="store_true",
-                        help="skip the sharded parallel section")
     parser.add_argument("--no-storage", action="store_true",
                         help="skip the columnar-vs-objects storage section")
     parser.add_argument("--no-analysis", action="store_true",
@@ -1339,11 +1248,6 @@ def main(argv=None):
     if not args.no_query:
         report["query"] = run_query_bench(
             QUICK_QUERY_GRID if args.quick else QUERY_GRID,
-            repeats=args.repeats,
-        )
-    if not args.no_parallel:
-        report["parallel"] = run_parallel_bench(
-            QUICK_PARALLEL_GRID if args.quick else PARALLEL_GRID,
             repeats=args.repeats,
         )
     if not args.no_storage:
@@ -1401,21 +1305,6 @@ def main(argv=None):
         if incremental_speedup is None or incremental_speedup < 10.0:
             raise SystemExit(
                 f"--check failed: incremental speedup {incremental_speedup} < 10.0"
-            )
-    if "parallel" in report and report["parallel"]:
-        tc_parallel = [
-            r for r in report["parallel"] if r["workload"] == "transitive_closure"
-        ]
-        if tc_parallel:
-            largest = max(tc_parallel, key=lambda r: r["facts"])
-            best = max(
-                cell["speedup_parallel_vs_indexed"] or 0.0
-                for cell in largest["shards"].values()
-            )
-            print(
-                f"parallel headline: best parallel-vs-indexed ratio {best}x "
-                f"on {largest['facts']} TC facts "
-                f"({largest['cpu_count']} CPU core(s) available)"
             )
     if "query" in report and report["query"]:
         largest = max(report["query"], key=lambda r: r["facts"])

@@ -32,8 +32,7 @@ docstrings by `docs/gen_api.py` (re-run it after changing a public
 docstring; `tests/test_docs_api.py` fails when this file goes stale).
 User guides: [datalog.md](datalog.md) for programs, evaluation and
 incremental maintenance, [queries.md](queries.md) for the goal-directed
-query layer, [parallel.md](parallel.md) for sharded parallel evaluation,
-[analysis.md](analysis.md) for the static analyzer and its diagnostic
+query layer, [analysis.md](analysis.md) for the static analyzer and its diagnostic
 codes, [revision.md](revision.md) for the AGM belief-change layer,
 [observability.md](observability.md) for tracing, metrics and
 provenance, [architecture.md](architecture.md) for the module map.
@@ -59,10 +58,6 @@ SECTIONS = [
     ("repro.datalog.columnar", "Columnar storage — `repro.datalog.columnar`",
      ["ColumnarRelation", "RowStore", "ColumnarFactIndex", "decode_world",
       "compile_schedule", "compiled_for", "columnar_fixpoint"]),
-    ("repro.datalog.shard", "Sharded storage — `repro.datalog.shard`",
-     ["ShardedFactIndex"]),
-    ("repro.datalog.parallel", "Parallel scheduling — `repro.datalog.parallel`",
-     ["ParallelScheduler", "ParallelStatistics", "default_workers"]),
     ("repro.datalog.magic", "Goal-directed rewriting — `repro.datalog.magic`",
      ["plan", "instantiate", "rewrite", "answer", "adornment_of",
       "adorned_name", "magic_name", "MagicProgram", "MagicTemplate"]),

@@ -161,7 +161,7 @@ class ViolationView:
             txn.tell("emp(Fred)")
             report = view.preview_report(*txn.pending)   # O(delta) peek
 
-    ``strategy`` / ``shards`` / ``planner`` / ``storage`` configure the
+    ``strategy`` / ``planner`` / ``storage`` configure the
     maintaining :class:`~repro.datalog.incremental.MaterializedModel`
     exactly as for :class:`~repro.db.view.DatalogView`; the default is the
     columnar indexed engine.  ``checker`` is the
@@ -172,7 +172,7 @@ class ViolationView:
     """
 
     def __init__(self, database, constraints=None, config=None, strategy="indexed",
-                 shards=None, planner=None, storage="columnar", checker=None):
+                 planner=None, storage="columnar", checker=None):
         self._database = database
         active = list(database.constraints() if constraints is None else constraints)
         self._constraints = active
@@ -198,7 +198,7 @@ class ViolationView:
             else:
                 self._count_nonatomic(sentence, store.count(sentence))
         self._materialized = MaterializedModel(
-            program, strategy=strategy, shards=shards, planner=planner, storage=storage
+            program, strategy=strategy, planner=planner, storage=storage
         )
         # Maintenance rounds driven by this view show up in the database's
         # trace (the wrapped engine defaults to the no-op tracer).

@@ -26,7 +26,7 @@ This subpackage provides that substrate:
 * :mod:`repro.datalog.columnar` — columnar interned fact storage
   (:class:`~repro.datalog.columnar.ColumnarFactIndex` over per-column
   integer arrays) and the generated id-space joins; the default backend of
-  the indexed and parallel strategies (``storage="columnar"``), with
+  the indexed strategy (``storage="columnar"``), with
   object-graph storage (``storage="objects"``) kept as the ablation
   baseline;
 * :mod:`repro.datalog.incremental` — incremental view maintenance: a
@@ -40,15 +40,6 @@ This subpackage provides that substrate:
 * :mod:`repro.datalog.stats` — observed per-predicate bucket-size
   histograms (:class:`~repro.datalog.stats.JoinStatistics`) feeding the
   indexed strategy's join planner;
-* :mod:`repro.datalog.shard` — hash-partitioned fact storage
-  (:class:`~repro.datalog.shard.ShardedFactIndex`, keyed by stable hash of
-  ``(predicate, first argument)``) backing the parallel strategy and the
-  sharded materialized views;
-* :mod:`repro.datalog.parallel` — the concurrent stratum/rule scheduler
-  (:class:`~repro.datalog.parallel.ParallelScheduler`): independent
-  dependency components evaluate concurrently and delta-join passes fan out
-  across shards, with the least model provably identical to sequential
-  evaluation;
 * :mod:`repro.datalog.completion` — Clark's completion ``Comp(DB)`` as a set
   of FOPCE sentences (plus unique-names handled by the FOPCE semantics
   itself).
@@ -79,8 +70,6 @@ from repro.datalog.incremental import MaintenanceStatistics, MaterializedModel, 
 from repro.datalog.interner import Interner
 from repro.datalog.magic import MagicProgram, MagicTemplate, adornment_of
 from repro.datalog.magic import rewrite as magic_rewrite
-from repro.datalog.parallel import ParallelScheduler, ParallelStatistics
-from repro.datalog.shard import DEFAULT_SHARDS, ShardedFactIndex
 from repro.datalog.stats import ColumnStatistics, JoinStatistics
 from repro.datalog.completion import clark_completion
 
@@ -89,7 +78,6 @@ __all__ = [
     "CODES",
     "ColumnStatistics",
     "ColumnarFactIndex",
-    "DEFAULT_SHARDS",
     "DatalogEngine",
     "DatalogFact",
     "DatalogLiteral",
@@ -105,15 +93,12 @@ __all__ = [
     "MaintenanceStatistics",
     "MaterializedModel",
     "PLANNERS",
-    "ParallelScheduler",
-    "ParallelStatistics",
     "PredicateSignature",
     "ProgramAnalysis",
     "QUERY_MODES",
     "QueryResult",
     "RowStore",
     "STRATEGIES",
-    "ShardedFactIndex",
     "UpdateResult",
     "adornment_of",
     "analyze_program",

@@ -17,8 +17,7 @@ become **rows** — tuples of ids — living in per-``(predicate, arity)``
   Python ``__hash__`` dispatch);
 * per-argument-position **columns** (``array('q')`` — one machine word per
   value, no per-value object overhead), materialised lazily from the live
-  rows for compact export (:meth:`RowStore.to_arrays` — the int-array form
-  sharded delta exchange ships instead of pickled atom objects);
+  rows as a compact at-rest view;
 * per-position **bucket maps** ``id -> set of rows``, the same probe
   structure :class:`~repro.datalog.index.FactIndex` keeps per value, so
   the engine's greedy bound-prefix planning carries over unchanged.
@@ -41,8 +40,7 @@ Three faces are exposed, innermost first:
 
 Everything here is selected by ``storage="columnar"`` on
 :class:`~repro.datalog.engine.DatalogEngine`,
-:class:`~repro.datalog.incremental.MaterializedModel`,
-:class:`~repro.datalog.shard.ShardedFactIndex` and
+:class:`~repro.datalog.incremental.MaterializedModel` and
 ``EpistemicDatabase.datalog_view``; ``storage="objects"`` keeps the
 original representation, and the two are property-tested equivalent
 (``tests/test_datalog_columnar.py``).
@@ -70,9 +68,8 @@ class ColumnarRelation:
       value buckets are dropped so distinct-value counts stay honest).
       Built on first probe; short-lived relations that are only ever
       enumerated — the per-round semi-naive deltas — never pay for them.
-    * :attr:`columns` — one ``array('q')`` per position, the at-rest /
-      exchange face (:meth:`RowStore.to_arrays`); machine-word compactness
-      is paid only when rows are actually shipped.
+    * :attr:`columns` — one ``array('q')`` per position, the at-rest
+      face; machine-word compactness is paid only when it is read.
     """
 
     __slots__ = ("arity", "rows", "_buckets", "_columns")
@@ -89,8 +86,9 @@ class ColumnarRelation:
         demand from the live rows (treat as read-only)."""
         buckets = self._buckets
         if buckets is None:
-            # Built in a local and published once: a concurrent reader
-            # must never see (or iterate) a half-filled bucket map.
+            # Built in a local and published once, so the attribute only
+            # ever holds a complete map: neither a build cut short by an
+            # exception nor a reader on another thread sees a half-filled one.
             buckets = tuple({} for _ in range(self.arity))
             for row in self.rows:
                 for bucket, value in zip(buckets, row):
@@ -384,31 +382,6 @@ class RowStore:
                 estimate /= distinct
         return estimate
 
-    # -- array exchange ------------------------------------------------------
-    def to_arrays(self):
-        """Export every relation as ``{key: (count, [array('q'), ...])}`` —
-        one machine-word array per column.  This is the compact shipping
-        form for shard exchange: no atom objects, no per-value boxing, and
-        ``array`` supports zero-copy buffer transport."""
-        return {
-            key: (len(relation.rows), [array("q", column) for column in relation.columns])
-            for key, relation in self._relations.items()
-            if relation.rows
-        }
-
-    @classmethod
-    def from_arrays(cls, exported):
-        """Rebuild a :class:`RowStore` from :meth:`to_arrays` output."""
-        store = cls()
-        for key, (count, columns) in exported.items():
-            if key[1] == 0:
-                if count:
-                    store.add_row(key, ())
-                continue
-            for row in zip(*columns):
-                store.add_row(key, row)
-        return store
-
     def __repr__(self):
         rendered = ", ".join(
             f"{predicate}/{arity}:{len(relation.rows)}"
@@ -446,7 +419,7 @@ class ColumnarFactIndex:
 
     @property
     def interner(self):
-        """The shared symbol table (one per engine / model / shard group)."""
+        """The shared symbol table (one per engine / model)."""
         return self._interner
 
     @property
@@ -598,25 +571,22 @@ class ColumnarFactIndex:
         return f"ColumnarFactIndex({len(self._store)} facts; {rendered})"
 
 
-def decode_world(stores, interner):
-    """Decode one or more :class:`RowStore` / :class:`ColumnarRelation`
-    holders into a :class:`~repro.semantics.worlds.World`, seeding the
-    world's per-predicate index in the same pass (the columnar analogue of
+def decode_world(store, interner):
+    """Decode a :class:`RowStore` into a
+    :class:`~repro.semantics.worlds.World`, seeding the world's
+    per-predicate index in the same pass (the columnar analogue of
     :meth:`World.from_fact_index <repro.semantics.worlds.World.from_fact_index>`)."""
-    if isinstance(stores, RowStore):
-        stores = (stores,)
     parameters = interner.parameters
     atoms = []
     buckets = {}
-    for store in stores:
-        for (predicate, _arity), relation in store.items():
-            if not relation.rows:
-                continue
-            bucket = buckets.setdefault(predicate, [])
-            for row in relation.rows:
-                atom = fast_atom(predicate, tuple([parameters[i] for i in row]))
-                atoms.append(atom)
-                bucket.append(atom)
+    for (predicate, _arity), relation in store.items():
+        if not relation.rows:
+            continue
+        bucket = buckets.setdefault(predicate, [])
+        for row in relation.rows:
+            atom = fast_atom(predicate, tuple([parameters[i] for i in row]))
+            atoms.append(atom)
+            bucket.append(atom)
     world = World.__new__(World)
     world._atoms = frozenset(atoms)
     world._hash = hash(world._atoms)
@@ -638,14 +608,10 @@ def decode_world(stores, interner):
 # no Atom allocation and no Python-level ``__hash__`` dispatch — which is
 # where the columnar backend's speedup over the object index comes from.
 #
-# The generated function takes tuples of :class:`RowStore` fragments:
-# ``sources`` form the full database (one store sequentially; the shard
-# stores plus a private overlay under the parallel scheduler), ``delta_enum``
-# is what the ``"delta"`` step enumerates (one slice under shard fan-out)
-# and ``delta_full`` the whole round delta consulted by the ``"old"``
-# discipline — exactly the split :class:`~repro.datalog.parallel._DeltaShard`
-# makes on the object path.  Store-fragment counts are baked into the
-# generated membership chains, so the compilation cache keys on them.
+# The generated function takes the full database ``store`` and the round
+# ``delta`` (both :class:`RowStore`): ``"full"`` steps and negations read
+# the store, the ``"delta"`` step enumerates the delta, and ``"old"`` steps
+# skip the store rows the delta holds.
 
 
 def _entry_expression(arg, slots, interner):
@@ -665,15 +631,14 @@ def _row_expression(args, slots, interner):
     return "(" + ", ".join(parts) + ("," if len(parts) == 1 else "") + ")"
 
 
-def compile_schedule(rule, schedule, interner, shape=(1, 0), provenance=False):
+def compile_schedule(rule, schedule, interner, provenance=False):
     """Compile a ``(literal, source)`` schedule (the output of
     :meth:`DatalogEngine._schedule
     <repro.datalog.engine.DatalogEngine._schedule>`) into a join-pass
-    function ``pass_(sources, delta_full, delta_enum, out)`` that adds the
-    derived ``(key, row)`` facts not already stored to *out* (a set).
-
-    *shape* is ``(len(sources), len(delta_full))`` — membership chains over
-    the store fragments are unrolled at generation time.
+    function ``pass_(store, delta, out)`` that adds the derived ``(key,
+    row)`` facts not already in *store* to *out* (a set).  *delta* is read
+    only by ``"delta"`` and ``"old"`` steps, so a schedule without a delta
+    position may be run with ``delta=None``.
 
     With *provenance* the generated function takes one extra parameter,
     ``rec``, called as ``rec((v0, ..., vN))`` — the bound slot values, in
@@ -683,7 +648,6 @@ def compile_schedule(rule, schedule, interner, shape=(1, 0), provenance=False):
     values back into a binding; the non-provenance variant emits *no* extra
     code, keeping the default inner loop byte-for-byte unchanged.
     """
-    source_count, delta_count = shape
     slots = {}
     for literal, _source in schedule:
         for arg in literal.atom.args:
@@ -695,36 +659,28 @@ def compile_schedule(rule, schedule, interner, shape=(1, 0), provenance=False):
     def emit(depth, text):
         lines.append("    " * depth + text)
 
-    parameters = "sources, delta_full, delta_enum, out" + (
-        ", rec" if provenance else ""
-    )
+    parameters = "store, delta, out" + (", rec" if provenance else "")
     emit(0, f"def pass_({parameters}):")
     emit(1, "__add = out.add")
     head_key_name = "__HK"
     env[head_key_name] = (rule.head.predicate, rule.head.arity)
-    for fragment in range(source_count):
-        emit(1, f"__t = sources[{fragment}].get({head_key_name})")
-        emit(1, f"__hr{fragment} = __t.rows if __t is not None else __EMPTY")
+    emit(1, f"__t = store.get({head_key_name})")
+    emit(1, "__hr = __t.rows if __t is not None else __EMPTY")
     for index, (literal, source) in enumerate(schedule):
         key_name = f"__K{index}"
         env[key_name] = (literal.atom.predicate, len(literal.atom.args))
         if literal.positive:
-            pool = "delta_enum" if source == "delta" else "sources"
-            emit(1, f"__p{index} = []")
-            emit(1, f"for __s in {pool}:")
-            emit(2, f"__r = __s.get({key_name})")
-            emit(2, "if __r is not None and __r.rows:")
-            emit(3, f"__p{index}.append(__r)")
+            # An empty relation anywhere in the body leaves nothing to join.
+            pool = "delta" if source == "delta" else "store"
+            emit(1, f"__r{index} = {pool}.get({key_name})")
+            emit(1, f"if __r{index} is None or not __r{index}.rows:")
+            emit(2, "return")
             if source == "old":
-                for fragment in range(delta_count):
-                    emit(1, f"__t = delta_full[{fragment}].get({key_name})")
-                    emit(1, f"__sk{index}_{fragment} = "
-                            "__t.rows if __t is not None else __EMPTY")
+                emit(1, f"__t = delta.get({key_name})")
+                emit(1, f"__sk{index} = __t.rows if __t is not None else __EMPTY")
         else:
-            for fragment in range(source_count):
-                emit(1, f"__t = sources[{fragment}].get({key_name})")
-                emit(1, f"__nr{index}_{fragment} = "
-                        "__t.rows if __t is not None else __EMPTY")
+            emit(1, f"__t = store.get({key_name})")
+            emit(1, f"__nr{index} = __t.rows if __t is not None else __EMPTY")
 
     # The body proper: a one-iteration dummy loop makes guard `continue`s
     # valid even before the first real candidate loop.
@@ -735,11 +691,7 @@ def compile_schedule(rule, schedule, interner, shape=(1, 0), provenance=False):
         atom = literal.atom
         if not literal.positive:
             row_expr = _row_expression(atom.args, slots, interner)
-            emit(depth, f"__n = {row_expr}")
-            membership = " or ".join(
-                f"__n in __nr{index}_{fragment}" for fragment in range(source_count)
-            )
-            emit(depth, f"if {membership}:")
+            emit(depth, f"if {row_expr} in __nr{index}:")
             emit(depth + 1, "continue")
             continue
         const_probes = []
@@ -768,11 +720,9 @@ def compile_schedule(rule, schedule, interner, shape=(1, 0), provenance=False):
                 const_probes.append((position, ident))
                 const_checks.append((position, ident))
         bound.update(seen_here)
-        emit(depth, f"for __r in __p{index}:")
-        depth += 1
-        emit(depth, "__best = __r.rows")
+        emit(depth, f"__best = __r{index}.rows")
         if const_probes or var_probes:
-            emit(depth, "__bk = __r.buckets")
+            emit(depth, f"__bk = __r{index}.buckets")
             for position, ident in const_probes:
                 emit(depth, f"__b = __bk[{position}].get({ident})")
                 emit(depth, "if not __b:")
@@ -788,11 +738,8 @@ def compile_schedule(rule, schedule, interner, shape=(1, 0), provenance=False):
         row = f"__row{index}"
         emit(depth, f"for {row} in __best:")
         depth += 1
-        if source == "old" and delta_count:
-            membership = " or ".join(
-                f"{row} in __sk{index}_{fragment}" for fragment in range(delta_count)
-            )
-            emit(depth, f"if {membership}:")
+        if source == "old":
+            emit(depth, f"if {row} in __sk{index}:")
             emit(depth + 1, "continue")
         for position, ident in const_checks:
             emit(depth, f"if {row}[{position}] != {ident}:")
@@ -809,11 +756,7 @@ def compile_schedule(rule, schedule, interner, shape=(1, 0), provenance=False):
     head_expr = _row_expression(rule.head.args, slots, interner)
     emit(depth, f"__h = {head_expr}")
     emit(depth, f"__f = ({head_key_name}, __h)")
-    absent = " and ".join(
-        ["__f not in out"]
-        + [f"__h not in __hr{fragment}" for fragment in range(source_count)]
-    )
-    emit(depth, f"if {absent}:")
+    emit(depth, "if __f not in out and __h not in __hr:")
     emit(depth + 1, "__add(__f)")
     if provenance:
         ordered_slots = sorted(slots.values())
@@ -829,16 +772,15 @@ def compile_schedule(rule, schedule, interner, shape=(1, 0), provenance=False):
     return pass_
 
 
-def compiled_for(cache, rule, delta_position, schedule, interner, shape=(1, 0),
-                 provenance=False):
+def compiled_for(cache, rule, delta_position, schedule, interner, provenance=False):
     """The generated join-pass function for one (rule, delta position,
-    schedule, fragment shape, provenance) combination, memoized in *cache* —
-    schedules stabilise after a round or two, so generation is paid once per
-    distinct plan."""
-    key = (rule, delta_position, tuple(schedule), shape, provenance)
+    schedule, provenance) combination, memoized in *cache* — schedules
+    stabilise after a round or two, so generation is paid once per distinct
+    plan."""
+    key = (rule, delta_position, tuple(schedule), provenance)
     compiled = cache.get(key)
     if compiled is None:
-        compiled = compile_schedule(rule, schedule, interner, shape, provenance)
+        compiled = compile_schedule(rule, schedule, interner, provenance)
         cache[key] = compiled
     return compiled
 
@@ -914,9 +856,7 @@ def columnar_fixpoint(engine, rules, store, interner, cache):
     sink = engine._provenance_sink
     recording = sink is not None
     parameters = interner.parameters
-    sources = (store,)
     delta = None
-    delta_sources = ()
     first_round = True
     while True:
         statistics.iterations += 1
@@ -928,16 +868,14 @@ def columnar_fixpoint(engine, rules, store, interner, cache):
                 if first_round:
                     statistics.rule_applications += 1
                     schedule = engine._schedule(rule, index=store, stats=stats)
-                    join = compiled_for(
-                        cache, rule, None, schedule, interner, (1, 0), recording
-                    )
+                    join = compiled_for(cache, rule, None, schedule, interner, recording)
                     with tracer.span("join.pass", rule=rule.head.predicate):
                         if recording:
-                            join(sources, (), (), new_facts, _edge_recorder(
+                            join(store, None, new_facts, _edge_recorder(
                                 sink, rule, join.slot_variables, parameters
                             ))
                         else:
-                            join(sources, (), (), new_facts)
+                            join(store, None, new_facts)
                     continue
                 produced_this_rule = set()
                 for delta_position, literal in enumerate(rule.body):
@@ -951,8 +889,7 @@ def columnar_fixpoint(engine, rules, store, interner, cache):
                         rule, delta_position=delta_position, index=store, stats=stats
                     )
                     join = compiled_for(
-                        cache, rule, delta_position, schedule, interner, (1, 1),
-                        recording,
+                        cache, rule, delta_position, schedule, interner, recording
                     )
                     with tracer.span(
                         "join.pass",
@@ -960,24 +897,16 @@ def columnar_fixpoint(engine, rules, store, interner, cache):
                         delta_position=delta_position,
                     ):
                         if recording:
-                            join(
-                                sources, delta_sources, delta_sources,
-                                produced_this_rule,
-                                _edge_recorder(
-                                    sink, rule, join.slot_variables, parameters
-                                ),
-                            )
+                            join(store, delta, produced_this_rule, _edge_recorder(
+                                sink, rule, join.slot_variables, parameters
+                            ))
                         else:
-                            join(
-                                sources, delta_sources, delta_sources,
-                                produced_this_rule,
-                            )
+                            join(store, delta, produced_this_rule)
                 new_facts |= produced_this_rule
             round_span.annotate(facts_derived=len(new_facts))
         if not new_facts:
             return
         statistics.facts_derived += len(new_facts)
         delta = fresh_delta(new_facts)
-        delta_sources = (delta,)
         store.absorb(delta)
         first_round = False

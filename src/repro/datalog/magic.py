@@ -410,13 +410,11 @@ def _rewrite_rule(rewritten, rule, rule_index, pattern, idb, worklist):
     )
 
 
-def answer(program, goal, strategy="indexed", planner="histogram",
-           shards=None, workers=None):
+def answer(program, goal, strategy="indexed", planner="histogram"):
     """Answer *goal* against *program* by magic-set rewriting: rewrite,
     evaluate the rewritten program with a fresh
     :class:`~repro.datalog.engine.DatalogEngine` of the given *strategy*
-    and *planner* (plus *shards* / *workers* when the strategy is
-    ``"parallel"``), and extract the goal's bindings.
+    and *planner*, and extract the goal's bindings.
 
     Returns ``(bindings, magic_program, engine)`` — the engine is the inner
     one that evaluated the rewrite; its ``statistics`` describe the
@@ -428,8 +426,7 @@ def answer(program, goal, strategy="indexed", planner="histogram",
 
     magic_program = rewrite(program, goal)
     engine = DatalogEngine(
-        magic_program.program, strategy=strategy, planner=planner,
-        shards=shards, workers=workers, check="off",
+        magic_program.program, strategy=strategy, planner=planner, check="off"
     )
     model = engine.least_model()
     return magic_program.answers(model), magic_program, engine

@@ -287,7 +287,7 @@ class EpistemicDatabase:
         maintained through the update listeners.  Shared by every incremental
         check; invalidated (and rebuilt on next use) when the constraint set
         changes.  ``view_options`` passed to the constructor configure its
-        engine (``strategy`` / ``shards`` / ``planner`` / ``storage``)."""
+        engine (``strategy`` / ``planner`` / ``storage``)."""
         if self._violation_view is None:
             from repro.constraints.views import ViolationView
 
@@ -489,20 +489,18 @@ class EpistemicDatabase:
         return BeliefRevisor(self, policy=policy, **options)
 
     # -- datalog view -------------------------------------------------------------------
-    def datalog_view(self, rules=(), strategy="indexed", shards=None, planner=None,
-                     storage=None):
+    def datalog_view(self, rules=(), strategy="indexed", planner=None, storage=None):
         """Return a :class:`~repro.db.view.DatalogView`: the Prolog-like
         reading of this database (its ground atomic sentences plus the given
         Datalog *rules*) with the least model materialized and incrementally
         maintained across every subsequent ``tell`` / ``retract`` /
-        transaction commit (``strategy="parallel"`` with optional *shards*
-        keeps the view's index sharded; *planner* tunes the maintenance
-        join planning; ``storage="columnar"`` keeps the view's index in
-        interned dense-id columnar relations)."""
+        transaction commit (*planner* tunes the maintenance join planning;
+        ``storage="columnar"`` keeps the view's index in interned dense-id
+        columnar relations)."""
         from repro.db.view import DatalogView
 
-        return DatalogView(self, rules=rules, strategy=strategy, shards=shards,
-                           planner=planner, storage=storage)
+        return DatalogView(self, rules=rules, strategy=strategy, planner=planner,
+                           storage=storage)
 
     # -- closed world -------------------------------------------------------------------
     def closed_world(self, queries=()):

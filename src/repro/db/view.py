@@ -86,17 +86,14 @@ class DatalogView:
 
     The view stays subscribed to the database until :meth:`close` is called.
 
-    ``strategy`` / ``shards`` / ``planner`` / ``storage`` configure the
-    maintaining :class:`~repro.datalog.incremental.MaterializedModel` (and
-    through it the wrapped engine): ``strategy="parallel"`` keeps the
-    materialized state in a :class:`~repro.datalog.shard.ShardedFactIndex`
-    and evaluates rebuilds with the parallel scheduler;
-    ``storage="columnar"`` interns the EDB constants and keeps the
-    materialized state in dense-id columnar relations
+    ``strategy`` / ``planner`` / ``storage`` configure the maintaining
+    :class:`~repro.datalog.incremental.MaterializedModel` (and through it
+    the wrapped engine): ``storage="columnar"`` interns the EDB constants
+    and keeps the materialized state in dense-id columnar relations
     (:class:`~repro.datalog.columnar.ColumnarFactIndex`).
     """
 
-    def __init__(self, database, rules=(), strategy="indexed", shards=None, planner=None,
+    def __init__(self, database, rules=(), strategy="indexed", planner=None,
                  storage=None):
         self._database = database
         program = DatalogProgram()
@@ -105,7 +102,7 @@ class DatalogView:
         for sentence in _ground_atoms(database.store.distinct()):
             program.add_fact(sentence)
         self._materialized = MaterializedModel(
-            program, strategy=strategy, shards=shards, planner=planner, storage=storage
+            program, strategy=strategy, planner=planner, storage=storage
         )
         database.add_update_listener(self._on_update)
 

@@ -4,17 +4,16 @@ One :class:`MetricsRegistry` per instrumented object (a
 :class:`~repro.datalog.engine.DatalogEngine`, an
 :class:`~repro.db.database.EpistemicDatabase`) holds every number that
 object reports.  The pre-existing statistics surfaces —
-``engine.statistics``, ``engine.parallel_statistics``, the
+``engine.statistics``, the
 :class:`~repro.datalog.engine.QueryResult` counters — are thin façades
 over registry instruments (see :class:`MetricsFacade`), so the public
 APIs are unchanged while ``engine.metrics()`` / ``db.metrics()`` give one
 flat snapshot of everything.
 
-Instruments are plain mutable objects, not locks-and-atomics: the
-evaluation machinery confines all counter writes to the coordinating
-thread (the parallel scheduler's per-component counters are private and
-merged at barriers, exactly as before), so the registry inherits that
-discipline rather than re-paying for it per increment.
+Instruments are plain mutable objects, not locks-and-atomics: evaluation
+is sequential, so all counter writes of one engine or database happen on
+the thread driving it, and the registry does not pay for a lock per
+increment.
 """
 
 from bisect import insort
@@ -108,7 +107,7 @@ class MetricsRegistry:
     """A flat namespace of instruments, created on first use.
 
     Names are dotted paths (``"engine.iterations"``,
-    ``"parallel.shard_tasks"``, ``"db.commits"``); :meth:`snapshot`
+    ``"query.cache_hits"``, ``"db.commits"``); :meth:`snapshot`
     returns them as one plain dict — numbers for counters and gauges,
     ``{count, total, p50, p99}`` dicts for histograms.
     """

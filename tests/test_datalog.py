@@ -115,6 +115,8 @@ class TestEngine:
     def test_invalid_strategy(self):
         with pytest.raises(ValueError):
             DatalogEngine(family_program(), strategy="magic")
+        with pytest.raises(ValueError):
+            DatalogEngine(family_program(), strategy="parallel")
 
     def test_stratified_negation(self):
         program = family_program()

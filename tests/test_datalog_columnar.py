@@ -5,7 +5,6 @@ table) and :mod:`repro.datalog.columnar` (the :class:`RowStore` /
 :class:`ColumnarFactIndex` backend and the generated id-space joins), plus
 the ``storage="columnar"`` wiring of
 :class:`~repro.datalog.engine.DatalogEngine`,
-:class:`~repro.datalog.shard.ShardedFactIndex`,
 :class:`~repro.datalog.incremental.MaterializedModel` and
 :class:`~repro.db.view.DatalogView`.
 
@@ -14,8 +13,7 @@ storage must be observationally identical to the object index — same least
 models, same incremental apply results, same query answers, same evaluation
 counters.  The hypothesis properties at the bottom prove it on random
 add/discard/absorb sequences against the :class:`FactIndex` contract and on
-random stratified programs (including negation) across strategies and shard
-counts.
+random stratified programs (including negation).
 """
 
 import pytest
@@ -33,7 +31,6 @@ from repro.datalog.incremental import MaterializedModel
 from repro.datalog.index import FactIndex
 from repro.datalog.interner import Interner, fast_atom
 from repro.datalog.program import DatalogLiteral, DatalogProgram, DatalogRule
-from repro.datalog.shard import ShardedFactIndex
 from repro.logic.builders import atom
 from repro.logic.syntax import Atom
 from repro.logic.terms import Parameter, Variable
@@ -118,14 +115,6 @@ class TestRowStore:
             assert plain.selectivity("edge", 2, positions) == pytest.approx(
                 columnar.selectivity("edge", 2, positions)
             )
-
-    def test_to_arrays_roundtrip(self):
-        store = RowStore()
-        for row in [(0, 1), (2, 3)]:
-            store.add_row(("edge", 2), row)
-        arrays = store.to_arrays()
-        rebuilt = RowStore.from_arrays(arrays)
-        assert set(rebuilt.relation("edge", 2)) == {(0, 1), (2, 3)}
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +202,6 @@ class TestEngineStorage:
     def test_default_storage_resolution(self):
         program = self.program()
         assert DatalogEngine(program).storage == "columnar"
-        assert DatalogEngine(program, strategy="parallel").storage == "columnar"
         assert DatalogEngine(program, strategy="semi-naive").storage == "objects"
 
     def test_columnar_rejected_under_scanning_strategies(self):
@@ -234,7 +222,6 @@ class TestEngineStorage:
         for kwargs, expected in (
             (dict(storage="objects"), FactIndex),
             (dict(storage="columnar"), ColumnarFactIndex),
-            (dict(strategy="parallel", shards=3), ShardedFactIndex),
         ):
             index = DatalogEngine(self.program(), **kwargs).least_index()
             assert isinstance(index, expected)
@@ -272,54 +259,12 @@ class TestEngineStorage:
 
 
 # ---------------------------------------------------------------------------
-# Sharded columnar storage
-# ---------------------------------------------------------------------------
-
-class TestShardedColumnar:
-    def test_columnar_shards_share_one_interner(self):
-        sharded = ShardedFactIndex(edge_atoms([(0, 1), (1, 2), (2, 3)]),
-                                   shards=3, storage="columnar")
-        assert sharded.storage == "columnar"
-        interners = {id(shard.interner) for shard in sharded.shard_indexes()}
-        assert interners == {id(sharded.interner)}
-
-    def test_interner_rejected_under_object_storage(self):
-        with pytest.raises(ValueError):
-            ShardedFactIndex(shards=2, storage="objects", interner=Interner())
-
-    def test_absorb_row_facts_routes_like_atoms(self):
-        sharded = ShardedFactIndex(edge_atoms([(0, 1)]), shards=3, storage="columnar")
-        interner = sharded.interner
-        new = [interner.encode_atom(fact) for fact in edge_atoms([(1, 2), (2, 3)])]
-        deltas = sharded.absorb_row_facts(new)
-        assert len(deltas) == 3
-        for fact in edge_atoms([(1, 2), (2, 3)]):
-            assert fact in sharded
-            number = sharded.shard_of(fact)
-            key, row = interner.encode_atom(fact)
-            assert (key, row) in deltas[number]
-        assert sharded.count("edge", 2) == 3
-
-    def test_absorb_row_facts_rejected_under_object_storage(self):
-        with pytest.raises(ValueError):
-            ShardedFactIndex(shards=2).absorb_row_facts([])
-
-    def test_repartition_preserves_storage_and_interner(self):
-        sharded = ShardedFactIndex(edge_atoms([(0, 1), (1, 2)]), shards=3,
-                                   storage="columnar")
-        again = sharded.repartition(shards=5)
-        assert again.storage == "columnar"
-        assert again.interner is sharded.interner
-        assert set(again) == set(sharded)
-
-
-# ---------------------------------------------------------------------------
 # The equivalence properties: columnar ≡ objects
 # ---------------------------------------------------------------------------
 
 def build_random_program(edges, with_two_hop, with_negation, with_same_generation):
-    """The random stratified program family shared with the parallel and
-    engine property tests: transitive closure plus optional multi-literal
+    """The random stratified program family of the engine property tests:
+    transitive closure plus optional multi-literal
     joins, same-generation recursion and stratified negation."""
     program = DatalogProgram()
     names = set()
@@ -429,8 +374,8 @@ def test_columnar_least_model_and_queries_match_objects(
     edges, with_two_hop, with_negation, with_same_generation
 ):
     """Columnar storage computes exactly the least model, the evaluation
-    counters and the query answers of object storage — indexed and parallel,
-    shard counts 1, 2 and 7, stratified negation included."""
+    counters and the query answers of object storage, stratified negation
+    included."""
     build = lambda: build_random_program(
         edges, with_two_hop, with_negation, with_same_generation
     )
@@ -450,11 +395,6 @@ def test_columnar_least_model_and_queries_match_objects(
         assert canonical(
             DatalogEngine(build(), storage="columnar").query(goal, mode="magic")
         ) == expected
-    for shards in (1, 2, 7):
-        engine = DatalogEngine(
-            build(), strategy="parallel", shards=shards, workers=2, storage="columnar"
-        )
-        assert engine.least_model() == reference
 
 
 @settings(max_examples=20, deadline=None)
@@ -462,20 +402,18 @@ def test_columnar_least_model_and_queries_match_objects(
 def test_columnar_incremental_apply_matches_objects(edges, moves, with_negation):
     """A columnar MaterializedModel applies the same insert/delete stream to
     the same models and UpdateResults as an object one, and agrees with a
-    from-scratch recompute at the end — indexed and sharded-parallel."""
+    from-scratch recompute at the end."""
     build = lambda: build_random_program(edges, False, with_negation, False)
     models = [
         MaterializedModel(build(), storage="objects"),
         MaterializedModel(build(), storage="columnar"),
-        MaterializedModel(build(), strategy="parallel", shards=3, storage="columnar"),
     ]
     for is_insert, source, target in moves:
         fact = atom("edge", f"n{source}", f"n{target}")
         batch = ([fact], []) if is_insert else ([], [fact])
         results = [model.apply(*batch) for model in models]
-        assert results[1] == results[0] and results[2] == results[0]
+        assert results[1] == results[0]
         assert models[1].model() == models[0].model()
-        assert models[2].model() == models[0].model()
     recomputed = DatalogEngine(models[0].program, storage="objects").least_model()
     for model in models:
         assert model.model() == recomputed

@@ -72,14 +72,6 @@ def test_goal_directed_queries_example(capsys):
     assert "non-rewritable goal answered via mode='full' (fell back: True)" in output
 
 
-def test_parallel_evaluation_example(capsys):
-    _load("parallel_evaluation").main()
-    output = capsys.readouterr().out
-    assert "widths [4]" in output
-    assert output.count("identical to indexed: True") == 2
-    assert "skew" in output
-
-
 def test_incremental_updates_example(capsys):
     _load("incremental_updates").main()
     output = capsys.readouterr().out
@@ -96,7 +88,6 @@ def test_columnar_storage_example(capsys):
     assert "statistics identical: True" in output
     assert "decodes back: True" in output
     assert "columnar MaterializedModel after an insert: True" in output
-    assert "parallel columnar model identical: True" in output
 
 
 def test_belief_revision_example(capsys):

@@ -12,8 +12,8 @@ Four kinds of guarantees are pinned here:
   are absent), for every derived atom of transitive-closure and
   same-generation workloads, on both storage backends;
 * **equivalence** — turning tracing/provenance on changes no model, no
-  query answer and no statistic, across objects/columnar storage and
-  shard counts 1/2/7 (hypothesis property), and the no-op default records
+  query answer and no statistic, across objects/columnar storage
+  (hypothesis property), and the no-op default records
   exactly zero entries (directed);
 * **pinning** — the registry-backed counters report the same numbers the
   pre-façade dataclasses did on a fixed workload (regression).
@@ -27,7 +27,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.datalog.engine import DatalogEngine, EvaluationStatistics
 from repro.datalog.incremental import MaterializedModel
-from repro.datalog.parallel import ParallelStatistics
 from repro.datalog.program import DatalogLiteral, DatalogProgram, DatalogRule
 from repro.db.database import EpistemicDatabase
 from repro.exceptions import ConstraintViolationError
@@ -162,15 +161,6 @@ def test_facade_reads_and_writes_registry():
     # A fresh façade on the same registry resets the shared counters.
     fresh = Demo(registry=registry)
     assert fresh.hits == 0 and registry.counter("demo.hits").value == 0
-
-
-def test_parallel_statistics_facade_keeps_wave_widths():
-    stats = ParallelStatistics(workers=3, wave_widths=[2, 1])
-    assert stats.workers == 3
-    assert stats.max_wave_width == 2
-    assert stats.as_dict()["wave_widths"] == [2, 1]
-    assert stats == ParallelStatistics(workers=3, wave_widths=[2, 1])
-    assert stats != ParallelStatistics(workers=3)
 
 
 # ---------------------------------------------------------------------------
@@ -430,14 +420,11 @@ edge_lists = st.lists(
 
 
 @settings(max_examples=20, deadline=None)
-@given(edges=edge_lists, shards=st.sampled_from([1, 2, 7]),
-       storage=st.sampled_from(["objects", "columnar"]))
-def test_observability_on_changes_nothing(edges, shards, storage):
+@given(edges=edge_lists, storage=st.sampled_from(["objects", "columnar"]))
+def test_observability_on_changes_nothing(edges, storage):
     goal = Atom("path", (Variable("qx"), Variable("qy")))
-    plain = DatalogEngine(tc_program(edges), strategy="parallel", shards=shards,
-                          storage=storage)
-    observed = DatalogEngine(tc_program(edges), strategy="parallel", shards=shards,
-                             storage=storage, tracer=Tracer())
+    plain = DatalogEngine(tc_program(edges), storage=storage)
+    observed = DatalogEngine(tc_program(edges), storage=storage, tracer=Tracer())
     assert plain.least_model() == observed.least_model()
     plain_answers = plain.query(goal)
     observed_answers = observed.query(goal)
@@ -445,7 +432,6 @@ def test_observability_on_changes_nothing(edges, shards, storage):
         map(sorted_items, observed_answers)
     )
     assert plain.statistics == observed.statistics
-    assert plain.parallel_statistics == observed.parallel_statistics
 
     indexed_plain = DatalogEngine(tc_program(edges), storage=storage)
     indexed_prov = DatalogEngine(tc_program(edges), storage=storage, provenance=True)
@@ -487,15 +473,6 @@ def test_fixed_workload_counters_are_pinned():
     assert result.join_passes > 0
     assert fresh.metrics()["query.join_passes"] == result.join_passes
     assert fresh.metrics()["query.mode.magic"] == 1
-
-
-def test_parallel_counters_are_pinned():
-    engine = DatalogEngine(tc_program(CHAIN), strategy="parallel", shards=2)
-    engine.least_model()
-    stats = engine.parallel_statistics
-    assert stats.waves == 1 and stats.wave_widths == [1]
-    assert engine.metrics()["parallel.waves"] == 1
-    assert engine.metrics()["parallel.workers"] == stats.workers
 
 
 # ---------------------------------------------------------------------------
